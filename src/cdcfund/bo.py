@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .fund import PolicyParams
 from .gp import GpModel, fit, posterior
@@ -129,6 +127,8 @@ def expected_improvement(model: GpModel, x, f_star: float):
     ``sigma * pdf(zscore) + (mean - f_star) * cdf(zscore)``; degenerates to
     ``max(mean - f_star, 0)`` where the posterior deviation vanishes.
     """
+    from scipy.special import ndtr  # deferred: keeps `import cdcfund` light
+
     mean, std = posterior(model, x)
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
@@ -143,6 +143,8 @@ def expected_improvement(model: GpModel, x, f_star: float):
 def probability_of_solvency(margin_model: GpModel, x):
     """Posterior probability that the solvency margin is positive at ``x``;
     an indicator where the posterior deviation vanishes."""
+    from scipy.special import ndtr
+
     mean, std = posterior(margin_model, x)
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
@@ -173,6 +175,8 @@ def maximize_acquisition(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    from scipy.stats import qmc  # deferred: scipy.stats takes about a second to import
+
     d = len(bounds)
     # qmc needs a seed-sequence-backed rng; derive an integer seed instead
     qmc_seed = int(rng.integers(2**63))
@@ -214,7 +218,10 @@ def run_bo(spec: ObjectiveSpec, bo_cfg: BoConfig) -> BoTrace:
     def evaluate(pi: float, theta: float, iteration: int) -> ObjectiveValue:
         eval_spec = spec
         if not bo_cfg.common_random_numbers:
-            eval_spec = replace(spec, seed=spec.seed + 1 + iteration)
+            # child `iteration` of the run's seed sequence: evaluations of
+            # runs with neighbouring seeds do not share draws
+            child = np.random.SeedSequence(spec.seed, spawn_key=(iteration,))
+            eval_spec = replace(spec, seed=int(child.generate_state(1, np.uint64)[0]))
         return evaluate_policy(PolicyParams(pi=pi, theta=theta), eval_spec)
 
     return optimize(evaluate, bo_cfg, bounds=OMEGA)

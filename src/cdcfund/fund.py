@@ -349,7 +349,9 @@ def simulate_batch(
     Row ``p`` consumes the draws of ``RandomStream(seed, p)``, so results
     agree with ``simulate_path`` on the matching stream. ``normals`` may be
     passed to reuse a draw matrix across calls (common random numbers);
-    otherwise it is generated (and cached) from ``seed``.
+    otherwise it is generated (and cached) from ``seed``. Growth factors are
+    computed one year of draws at a time, which reads contiguous memory when
+    the draws are stored time-major as :func:`normal_matrix` stores them.
 
     Within a year all accounts share one accumulated crediting factor, so the
     per-generation accounts are materialized at year boundaries only; tracked
@@ -366,7 +368,6 @@ def simulate_batch(
     elif normals.shape != (n_paths, n_steps):
         raise ValueError(f"normals must have shape ({n_paths}, {n_steps}), got {normals.shape}")
 
-    growth = growth_factors(mkt, policy.pi, cfg.dt, normals)
     mu_pi = expected_log_return(mkt, policy.pi)
     theta = policy.theta
     dt = cfg.dt
@@ -400,82 +401,89 @@ def simulate_batch(
     tracked_value = {i: np.zeros(n_paths) for i in tracked_generations}
     trajectories = {i: np.full((n_paths, n * spy + 1), np.nan) for i in tracked_generations}
 
-    # Dead paths are never frozen: their state decays to NaN through the
-    # declaration rate's log of a non-positive ratio, which is harmless
-    # because every recorded quantity is written for live paths only and
-    # the `alive` latch cannot resurrect (NaN comparisons are False).
+    # Dead paths are frozen at a finite state (asset = liability = 1) at every
+    # year boundary: nothing recorded reads them, and keeping them finite
+    # means the loop raises no floating-point event.
     any_dead = False
     min_ratio = math.inf
     theta_dt = theta * dt
     mu_dt = mu_pi * dt
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for t in range(cfg.horizon + 1):
-            # year-boundary jump: materialize the year's crediting, pay the
-            # retiree, admit the newcomer, collect contributions
-            accounts *= cum_credit[:, None]
-            cum_credit[:] = 1.0
-            if t >= 1:
-                col = t % n
-                benefit = accounts[:, col].copy()
-                accounts[:, col] = 0.0
+    credit = np.empty(n_paths)
+    for t in range(cfg.horizon + 1):
+        # year-boundary jump: materialize the year's crediting, pay the
+        # retiree, admit the newcomer, collect contributions
+        accounts *= cum_credit[:, None]
+        cum_credit[:] = 1.0
+        if t >= 1:
+            col = t % n
+            benefit = accounts[:, col].copy()
+            accounts[:, col] = 0.0
+        else:
+            benefit = np.zeros(n_paths)
+        accounts += cfg.y
+        assets += n * cfg.y - benefit
+        liabilities += n * cfg.y - benefit
+        if not any_dead:
+            # once a path is dead the margin is the bankrupt fraction,
+            # so the post-payout ratio is only needed while all live
+            min_ratio = min(min_ratio, float(np.min(assets / liabilities)))
+        survived = assets > 0.0
+        if not survived.all() or any_dead:
+            bankrupt_at[alive & ~survived] = float(t)
+            alive &= survived
+            any_dead = True
+        if t >= 1:
+            if any_dead:
+                payments[alive, t - 1] = benefit[alive]
             else:
-                benefit = np.zeros(n_paths)
-            accounts += cfg.y
-            assets += n * cfg.y - benefit
-            liabilities += n * cfg.y - benefit
-            if not any_dead:
-                # once a path is dead the margin is the bankrupt fraction,
-                # so the post-payout ratio is only needed while all live
-                min_ratio = min(min_ratio, float(np.min(assets / liabilities)))
-            survived = assets > 0.0
-            if not survived.all() or any_dead:
-                bankrupt_at[alive & ~survived] = float(t)
-                alive &= survived
-                any_dead = True
-            if t >= 1:
-                if any_dead:
-                    payments[alive, t - 1] = benefit[alive]
-                else:
-                    payments[:, t - 1] = benefit
-            for i in tracked_generations:
-                birth = i - n
-                if t == birth:
-                    tracked_value[i][:] = cfg.y
-                    trajectories[i][alive, 0] = cfg.y
-                elif birth < t < i:
-                    tracked_value[i] += cfg.y
-            if t == cfg.horizon:
-                break
+                payments[:, t - 1] = benefit
+        for i in tracked_generations:
+            birth = i - n
+            if t == birth:
+                tracked_value[i][:] = cfg.y
+                trajectories[i][alive, 0] = cfg.y
+            elif birth < t < i:
+                tracked_value[i] += cfg.y
+        if t == cfg.horizon:
+            break
+        if any_dead:
+            dead = ~alive
+            assets[dead] = 1.0
+            liabilities[dead] = 1.0
 
-            for step in range(spy):
-                col = t * spy + step
-                eta_dt = theta_dt * np.log(assets / liabilities)
-                eta_dt += mu_dt
-                credit = np.exp(eta_dt)
-                assets *= growth[:, col]
-                liabilities *= credit
-                cum_credit *= credit
-                sample = col + 1
-                for i in tracked_generations:
-                    local = sample - (i - n) * spy
-                    if 0 < local <= n * spy:
-                        tracked_value[i] *= credit
-                        if any_dead:
-                            trajectories[i][alive, local] = tracked_value[i][alive]
-                        else:
-                            trajectories[i][:, local] = tracked_value[i]
-                if ratios is not None:
+        # this year's draws, one contiguous row of paths per step when the
+        # draws are stored time-major
+        growth = growth_factors(mkt, policy.pi, dt, normals[:, t * spy : (t + 1) * spy].T)
+        for step in range(spy):
+            np.divide(assets, liabilities, out=credit)
+            np.log(credit, out=credit)
+            credit *= theta_dt
+            credit += mu_dt
+            np.exp(credit, out=credit)
+            assets *= growth[step]
+            liabilities *= credit
+            cum_credit *= credit
+            sample = t * spy + step + 1
+            for i in tracked_generations:
+                local = sample - (i - n) * spy
+                if 0 < local <= n * spy:
+                    tracked_value[i] *= credit
                     if any_dead:
-                        ratios[alive, sample] = (assets / liabilities)[alive]
+                        trajectories[i][alive, local] = tracked_value[i][alive]
                     else:
-                        np.divide(assets, liabilities, out=ratios[:, sample])
-                if asset_rec is not None:
-                    if any_dead:
-                        asset_rec[alive, sample] = assets[alive]
-                        liab_rec[alive, sample] = liabilities[alive]
-                    else:
-                        asset_rec[:, sample] = assets
-                        liab_rec[:, sample] = liabilities
+                        trajectories[i][:, local] = tracked_value[i]
+            if ratios is not None:
+                if any_dead:
+                    ratios[alive, sample] = (assets / liabilities)[alive]
+                else:
+                    np.divide(assets, liabilities, out=ratios[:, sample])
+            if asset_rec is not None:
+                if any_dead:
+                    asset_rec[alive, sample] = assets[alive]
+                    liab_rec[alive, sample] = liabilities[alive]
+                else:
+                    asset_rec[:, sample] = assets
+                    liab_rec[:, sample] = liabilities
 
     n_dead = int(np.count_nonzero(~alive))
     return SimulationBatch(

@@ -113,18 +113,20 @@ def idc_terminal_benefits(
     if normals is None:
         normals = normal_matrix(seed, n_paths, cfg.n_steps)
     spy = cfg.steps_per_year
-    growth = growth_factors(mkt, pi, cfg.dt, normals)
-    annual = growth.reshape(n_paths, cfg.horizon, spy).prod(axis=2)
-    cum = np.cumprod(annual, axis=1)
-    cum = np.concatenate([np.ones((n_paths, 1)), cum], axis=1)  # C(0..horizon)
-    inv_cum = 1.0 / cum
-    # S[:, j+1] = sum_{u<=j} 1/C(u), S[:, 0] = 0
-    s = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(inv_cum, axis=1)], axis=1)
+    # annual[t] is the market growth over year t+1, built one year of draws
+    # at a time; rows are years, columns paths
+    annual = np.empty((cfg.horizon, n_paths))
+    for t in range(cfg.horizon):
+        growth = growth_factors(mkt, pi, cfg.dt, normals[:, t * spy : (t + 1) * spy].T)
+        np.prod(growth, axis=0, out=annual[t])
+    cum = np.concatenate([np.ones((1, n_paths)), np.cumprod(annual, axis=0)])  # C(0..horizon)
+    # s[j+1] = sum_{u<=j} 1/C(u), s[0] = 0
+    s = np.concatenate([np.zeros((1, n_paths)), np.cumsum(1.0 / cum, axis=0)])
     n = cfg.n_generations
     out = {}
     for i in generations:
-        contrib_sum = s[:, i] - s[:, i - n]  # years i-n .. i-1
-        out[i] = cfg.y * cum[:, i] * contrib_sum
+        contrib_sum = s[i] - s[i - n]  # years i-n .. i-1
+        out[i] = cfg.y * cum[i] * contrib_sum
     return out
 
 

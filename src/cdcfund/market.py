@@ -127,22 +127,43 @@ class RandomStream:
 _MATRIX_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 _MATRIX_CACHE_MAX = 4
 
+# paths generated per block before the block is transposed into place; one
+# block of monthly draws over 100 years (32 x 1200 x 8 bytes) fits in L2
+_PATH_BLOCK = 32
+
 
 def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Standard-normal draws for ``n_paths`` independent path streams.
 
     Row ``p`` holds the first ``n_steps`` draws of ``RandomStream(seed, p)``,
     so batched and single-path simulations consume bit-identical numbers.
-    The returned array is cached and read-only.
+    Storage is time-major: the result is the transpose of a C-contiguous
+    ``(n_steps, n_paths)`` array, so the draws of one step across all paths
+    (``out[:, step]``) are contiguous. The returned array is cached and
+    read-only.
     """
     key = (seed, n_paths, n_steps)
     cached = _MATRIX_CACHE.get(key)
     if cached is not None:
         return cached
-    out = np.empty((n_paths, n_steps))
-    for p in range(n_paths):
-        out[p] = RandomStream(seed, p).normals(n_steps)
+    out = np.empty((n_steps, n_paths))
+    # one Philox generator re-keyed to (seed, p) at counter 0 for each path
+    # gives the same draws as a fresh RandomStream(seed, p)
+    gen = RandomStream(seed).generator()
+    bitgen = gen.bit_generator
+    state = bitgen.state
+    counter = np.zeros(4, dtype=np.uint64)
+    block = np.empty((min(_PATH_BLOCK, n_paths), n_steps))
+    for start in range(0, n_paths, _PATH_BLOCK):
+        rows = block[: min(_PATH_BLOCK, n_paths - start)]
+        for j, row in enumerate(rows):
+            key_p = np.array([seed, start + j], dtype=np.uint64)
+            state["state"] = {"counter": counter, "key": key_p}
+            bitgen.state = state
+            gen.standard_normal(out=row)
+        out[:, start : start + len(rows)] = rows.T
     out.setflags(write=False)
+    out = out.T
     if len(_MATRIX_CACHE) >= _MATRIX_CACHE_MAX:
         _MATRIX_CACHE.pop(next(iter(_MATRIX_CACHE)))
     _MATRIX_CACHE[key] = out

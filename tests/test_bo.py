@@ -303,3 +303,24 @@ class TestRunBo:
         # same design points, different objective draws after the first record
         assert crn.records[1].pi == indep.records[1].pi
         assert crn.records[1].ce != indep.records[1].ce
+
+    def test_independent_draws_do_not_repeat_across_runs(self, monkeypatch):
+        # without common random numbers each evaluation draws from its own
+        # seed; runs at neighbouring seeds must not reuse each other's draws
+        seeds = []
+
+        def fake_evaluate(policy, spec):
+            seeds.append(spec.seed)
+            return synthetic_value(1.0 + policy.pi * (1.0 - policy.pi / 3.0) + policy.theta)
+
+        monkeypatch.setattr("cdcfund.bo.evaluate_policy", fake_evaluate)
+        cfg = BoConfig(n_init=4, n_total=12, seed=0, common_random_numbers=False)
+        per_run = []
+        for s in (5, 6):
+            seeds.clear()
+            spec = ObjectiveSpec(cfg=FundConfig(), mkt=preset_market("M1"), n_paths=10, seed=s)
+            run_bo(spec, cfg)
+            per_run.append(list(seeds))
+        assert all(len(set(run)) == 12 for run in per_run)
+        assert not set(per_run[0]) & set(per_run[1])
+        assert not {5, 6} & set(per_run[0] + per_run[1])

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdcfund
 from cdcfund.cli import (
     CDF_HEADER,
     FUNDING_HEADER,
@@ -24,6 +28,19 @@ TINY = """
 {"market": "M1", "gamma": 3, "n_paths": 40, "horizon": 50,
  "n_init": 4, "n_total": 9, "acquisition_budget": 32, "seed": 1}
 """
+
+
+def test_cli_import_defers_scipy_stats_and_special():
+    # scipy.stats alone takes about a second to import; commands that never
+    # optimize must not pay for it
+    env = dict(os.environ, PYTHONPATH=str(Path(cdcfund.__file__).resolve().parents[1]))
+    code = (
+        "import sys, cdcfund.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestParseConfig:

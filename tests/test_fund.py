@@ -16,7 +16,7 @@ from cdcfund.fund import (
     step_month,
     year_boundary_jump,
 )
-from cdcfund.market import MarketParams, RandomStream, preset_market
+from cdcfund.market import MarketParams, RandomStream, normal_matrix, preset_market
 
 M1 = preset_market("M1")
 CFG = FundConfig()
@@ -331,6 +331,45 @@ class TestSimulateBatch:
         batch = simulate_batch(CFG, policy, M1, seed=0, n_paths=30)
         assert 0 < batch.n_bankrupt < 30
         assert batch.solvency_margin == -batch.n_bankrupt / 30
+
+    @pytest.mark.parametrize("pi, theta", [(0.865, 0.345), (3.0, 0.0)])
+    def test_same_results_for_either_draw_layout(self, pi, theta):
+        # the draws are stored time-major; a row-major copy of the same
+        # numbers must give bit-identical results, solvent or bankrupt
+        policy = PolicyParams(pi=pi, theta=theta)
+        time_major = normal_matrix(6, 40, CFG.n_steps)
+        row_major = np.ascontiguousarray(time_major)
+        assert row_major.flags.c_contiguous and not time_major.flags.c_contiguous
+        kwargs = dict(record_funding_ratios=True, record_state=True, tracked_generations=(41, 70))
+        a = simulate_batch(CFG, policy, M1, n_paths=40, normals=time_major, **kwargs)
+        b = simulate_batch(CFG, policy, M1, n_paths=40, normals=row_major, **kwargs)
+        assert (a.n_bankrupt > 0) == (pi == 3.0)
+        for name in ("payments", "bankrupt_at", "funding_ratios", "assets", "liabilities"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+        assert a.solvency_margin == b.solvency_margin
+        for i in (41, 70):
+            assert np.array_equal(
+                a.account_trajectories[i], b.account_trajectories[i], equal_nan=True
+            )
+
+    @pytest.mark.parametrize("market", ["M1", "M2", "M3"])
+    def test_no_floating_point_event_across_policy_box(self, market):
+        # dead paths are frozen at a finite state, so no lattice policy, solvent
+        # or bankrupt, raises an overflow, division or invalid operation
+        mkt = preset_market(market)
+        n_bankrupt = 0
+        with np.errstate(all="raise"):
+            for pi in np.linspace(0.0, 3.0, 7):
+                for theta in np.linspace(0.0, 1.0, 5):
+                    batch = simulate_batch(
+                        CFG, PolicyParams(pi=pi, theta=theta), mkt, seed=0, n_paths=64,
+                        record_funding_ratios=True, record_state=True,
+                        tracked_generations=(41,),
+                    )
+                    n_bankrupt += batch.any_bankruptcy
+                    live = np.isnan(batch.bankrupt_at)
+                    assert np.isfinite(batch.funding_ratios[live]).all()
+        assert n_bankrupt > 0
 
     def test_risk_free_batch_matches_oracle(self):
         policy = PolicyParams(pi=0.0, theta=0.0)

@@ -112,6 +112,18 @@ class TestRandomStream:
         for p in range(4):
             assert np.array_equal(mat[p], RandomStream(9, p).normals(50))
 
+    def test_matrix_rows_match_streams_across_blocks(self):
+        # more paths than one generation block, and not a multiple of it
+        mat = normal_matrix(2**64 - 1, 70, 13)
+        for p in range(70):
+            assert np.array_equal(mat[p], RandomStream(2**64 - 1, p).normals(13))
+
+    def test_matrix_stored_time_major(self):
+        mat = normal_matrix(12, 5, 30)
+        assert mat.shape == (5, 30)
+        assert mat.T.flags.c_contiguous
+        assert not mat.flags.writeable and not mat.T.flags.writeable
+
     def test_matrix_cached_and_readonly(self):
         a = normal_matrix(11, 3, 20)
         b = normal_matrix(11, 3, 20)
