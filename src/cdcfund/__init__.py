@@ -9,59 +9,7 @@ benchmark on common random numbers.
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    WelfareRow,
-    benefit_quantile,
-    generation_ce,
-    ir_roughness,
-    ir_roughness_batch,
-    mean_funding_ratio_trajectory,
-    tail_cdf_points,
-    welfare_rows,
-)
-from .bo import (
-    OMEGA,
-    BoConfig,
-    BoRecord,
-    BoTrace,
-    expected_improvement,
-    latin_hypercube,
-    maximize_acquisition,
-    run_bo,
-)
-from .fund import (
-    FundConfig,
-    FundState,
-    PathRecord,
-    PolicyParams,
-    SimulationBatch,
-    declaration_rate,
-    entry_cohort_account,
-    generation_indicator,
-    initialize_fund,
-    simulate_batch,
-    simulate_path,
-    step_month,
-    year_boundary_jump,
-)
-from .gp import GpModel, Matern52Kernel, build_model, fit, matern52, posterior
-from .idc import IdcRecord, idc_terminal_benefits, idc_trajectories, simulate_idc
-from .market import (
-    MARKET_PRESETS,
-    MarketParams,
-    RandomStream,
-    expected_log_return,
-    log_return_increment,
-    normal_matrix,
-    preset_market,
-)
-from .objective import (
-    ObjectiveSpec,
-    ObjectiveValue,
-    certainty_equivalent,
-    certainty_equivalent_stderr,
-    crra_utility,
-    discounted_utility_sum,
-    evaluate_policy,
-    value_from_batch,
-)
+from .bo import BoConfig, run_bo
+from .fund import FundConfig, PolicyParams
+from .market import preset_market
+from .objective import ObjectiveSpec, evaluate_policy

@@ -15,7 +15,6 @@ import numpy as np
 from .objective import certainty_equivalent, crra_utility
 
 __all__ = [
-    "ir_roughness",
     "ir_roughness_batch",
     "benefit_quantile",
     "generation_ce",
@@ -26,30 +25,14 @@ __all__ = [
 ]
 
 
-def ir_roughness(values) -> float:
-    """Increment-ratio roughness of one path, in [0, 1].
+def ir_roughness_batch(paths: np.ndarray) -> np.ndarray:
+    """Increment-ratio roughness of each row of a path matrix, in [0, 1].
 
     Mean over consecutive increment pairs of ``|d1 + d2| / (|d1| + |d2|)``:
     1 for a monotone path, 0 for a perfectly alternating one. Pairs where
-    both increments are zero are skipped; returns NaN if the path contains
-    NaN or no pair remains.
+    both increments are zero are skipped; a row containing NaN, or with no
+    pair left, gives NaN.
     """
-    g = np.asarray(values, dtype=float)
-    if g.ndim != 1 or g.size < 3:
-        raise ValueError(f"need a path of at least 3 values, got shape {g.shape}")
-    if np.isnan(g).any():
-        return float("nan")
-    d1 = np.diff(g)[:-1]
-    d2 = np.diff(g)[1:]
-    denom = np.abs(d1) + np.abs(d2)
-    keep = denom > 0.0
-    if not keep.any():
-        return float("nan")
-    return float(np.mean(np.abs(d1 + d2)[keep] / denom[keep]))
-
-
-def ir_roughness_batch(paths: np.ndarray) -> np.ndarray:
-    """Roughness per row of a path matrix (NaN rows give NaN)."""
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] < 3:
         raise ValueError(f"need (n_paths, >=3) matrix, got shape {paths.shape}")

@@ -19,13 +19,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fund import PolicyParams
+from .fund import OMEGA, PolicyParams
 from .gp import GpModel, fit, posterior
 from .market import RandomStream
 from .objective import ObjectiveSpec, ObjectiveValue, evaluate_policy
 
 __all__ = [
-    "OMEGA",
     "BoConfig",
     "BoRecord",
     "BoTrace",
@@ -35,9 +34,6 @@ __all__ = [
     "maximize_acquisition",
     "run_bo",
 ]
-
-# search box: risky fraction in [0, 3], adjustment strength in [0, 1]
-OMEGA = ((0.0, 3.0), (0.0, 1.0))
 
 # substream indices reserved for the optimizer's own randomness; market path
 # streams use indices 0..n_paths-1 of the objective seed
@@ -69,6 +65,8 @@ class BoConfig:
             )
         if self.acquisition_budget < 1:
             raise ValueError(f"acquisition_budget must be >= 1, got {self.acquisition_budget}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
 
 @dataclass(frozen=True)

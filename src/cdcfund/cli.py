@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +29,9 @@ from .analysis import (
     welfare_rows,
 )
 from .bo import BoConfig, BoTrace, run_bo
-from .fund import FundConfig, PolicyParams, simulate_batch
+from .fund import OMEGA, FundConfig, PolicyParams, simulate_batch
 from .idc import idc_terminal_benefits, idc_trajectories
-from .market import MARKET_PRESETS, MarketParams, preset_market
+from .market import MarketParams, preset_market
 from .objective import ObjectiveSpec, evaluate_policy
 
 __all__ = [
@@ -45,93 +45,59 @@ __all__ = [
 ]
 
 TRACKED_GENERATION = 41  # generation whose account path is dumped and scored
+TRACKING_COMMANDS = ("simulate", "analyze", "run-cell")
 
-_CONFIG_KEYS = {
-    "market": "M1",
-    "gamma": 3.0,
-    "n_paths": 10_000,
-    "horizon": 100,
-    "dt": 1.0 / 12.0,
-    "beta": 0.98,
-    "y": 1.0,
-    "entry_age": 25,
-    "retirement_age": 65,
-    "n_init": 10,
-    "n_total": 100,
-    "acquisition_budget": 256,
-    "common_random_numbers": True,
-    "seed": 0,
-    "tail_fraction": 0.10,
-}
+FAST_PROFILE = {"n_paths": 2_000, "n_total": 60}  # what --fast sets
 
 
 class ConfigError(ValueError):
-    """Raised for unparseable or invalid experiment configs."""
+    """Raised for unparseable or invalid experiment configs and flags."""
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment settings with all defaults filled."""
+    """Validated experiment: the domain objects plus the keys only the CLI reads.
 
-    market: MarketParams
-    market_name: str | None = "M1"
-    gamma: float = 3.0
-    n_paths: int = 10_000
-    horizon: int = 100
-    dt: float = 1.0 / 12.0
-    beta: float = 0.98
-    y: float = 1.0
-    entry_age: int = 25
-    retirement_age: int = 65
-    n_init: int = 10
-    n_total: int = 100
-    acquisition_budget: int = 256
-    common_random_numbers: bool = True
-    seed: int = 0
+    ``market`` is a preset name or a custom ``{"mu", "r", "sigma"}`` triple
+    (``spec.mkt`` holds its parameters); ``tail_fraction`` is the left-tail
+    mass written to ``cdf_tail.csv``.
+    """
+
+    spec: ObjectiveSpec
+    bo: BoConfig
+    market: str | dict = "M1"
     tail_fraction: float = 0.10
 
-    def fund_config(self) -> FundConfig:
-        return FundConfig(
-            y=self.y,
-            entry_age=self.entry_age,
-            retirement_age=self.retirement_age,
-            dt=self.dt,
-            horizon=self.horizon,
-            beta=self.beta,
-            gamma=self.gamma,
-        )
-
-    def objective_spec(self) -> ObjectiveSpec:
-        return ObjectiveSpec(
-            cfg=self.fund_config(), mkt=self.market, n_paths=self.n_paths, seed=self.seed
-        )
-
-    def bo_config(self) -> BoConfig:
-        return BoConfig(
-            n_init=self.n_init,
-            n_total=self.n_total,
-            acquisition_budget=self.acquisition_budget,
-            seed=self.seed,
-            common_random_numbers=self.common_random_numbers,
-        )
+    def __post_init__(self) -> None:
+        if not 0.0 < self.tail_fraction <= 1.0:
+            raise ValueError(f"tail_fraction must lie in (0, 1], got {self.tail_fraction}")
 
     def echo(self) -> dict:
-        """JSON-serializable view of the effective settings."""
-        out = {k: v for k, v in asdict(self).items() if k != "market"}
-        out["market"] = (
-            self.market_name
-            if self.market_name
-            else {"mu": self.market.mu, "r": self.market.r, "sigma": self.market.sigma}
-        )
-        return out
+        """The effective config document: every config key and its value."""
+        return {
+            f.name: getattr(obj, f.name)
+            for obj in (self.spec.cfg, self.spec, self.bo, self)
+            for f in fields(obj)
+            if f.name in DEFAULTS
+        }
 
 
-def parse_config(text: str) -> ExperimentConfig:
+# every config key and its default, read off the dataclass that uses the key
+DEFAULTS = {
+    f.name: f.default
+    for cls in (FundConfig, ObjectiveSpec, BoConfig, ExperimentConfig)
+    for f in fields(cls)
+    if f.default is not MISSING
+}
+
+
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate a JSON config document.
 
-    Unknown keys are rejected; parse errors carry line/column positions and
-    validation errors name the offending key. An empty document yields the
-    defaults.
+    Unknown keys are rejected and parse errors carry line/column positions.
+    ``overrides`` maps a key to the ``(flag, value)`` of a command-line flag
+    that sets it; it is merged in before the single validation, and an error
+    in its value names the flag. An empty document yields the defaults.
     """
     text = text.strip()
     if not text:
@@ -145,84 +111,104 @@ def parse_config(text: str) -> ExperimentConfig:
             ) from None
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(raw) - set(_CONFIG_KEYS)
+    unknown = set(raw) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    merged = {**_CONFIG_KEYS, **raw}
-    return _validate(merged)
+    overrides = overrides or {}
+    raw.update({key: value for key, (_, value) in overrides.items()})
+    return _validate(raw, {key: flag for key, (flag, _) in overrides.items()})
 
 
-def load_config(path: str | Path | None) -> ExperimentConfig:
-    if path is None:
-        return parse_config("")
-    return parse_config(Path(path).read_text())
+def load_config(path: str | Path | None, overrides: dict | None = None) -> ExperimentConfig:
+    return parse_config("" if path is None else Path(path).read_text(), overrides)
 
 
-def _validate(raw: dict) -> ExperimentConfig:
-    def require(cond: bool, key: str, why: str) -> None:
-        if not cond:
-            raise ConfigError(f"invalid value for {key!r}: {why} (got {raw[key]!r})")
+def _construct(label, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with a ``ValueError`` re-raised as a
+    ``ConfigError`` naming ``label(word)``, where ``word`` begins the message:
+    the domain classes begin each message with the offending field's name."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for {label(str(exc).split()[0])}: {exc}") from None
 
-    market_spec = raw["market"]
-    if isinstance(market_spec, str):
-        if market_spec not in MARKET_PRESETS:
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _validate(raw: dict, flags: dict[str, str]) -> ExperimentConfig:
+    """Check the JSON types of a config document, then build the domain objects,
+    whose own checks reject bad values; errors name the key, or the flag that
+    set it."""
+
+    def label(key: str) -> str:
+        return f"{key!r} (set by {flags[key]})" if key in flags else repr(key)
+
+    values = {**DEFAULTS, **raw}
+    for key, default in DEFAULTS.items():
+        value = values[key]
+        if isinstance(default, bool):
+            ok, expected = isinstance(value, bool), "a boolean"
+        elif isinstance(default, int):
+            ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        elif isinstance(default, float):
+            ok, expected = _is_number(value), "a number"
+        else:
+            continue
+        if not ok:
             raise ConfigError(
-                f"invalid value for 'market': expected one of {sorted(MARKET_PRESETS)} "
-                f"or a custom triple (got {market_spec!r})"
+                f"invalid value for {label(key)}: expected {expected} (got {value!r})"
             )
-        market = preset_market(market_spec)
-        market_name = market_spec
-    elif isinstance(market_spec, dict):
-        if set(market_spec) != {"mu", "r", "sigma"}:
-            raise ConfigError("invalid value for 'market': custom market needs keys mu, r, sigma")
-        try:
-            market = MarketParams(**{k: float(v) for k, v in market_spec.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid value for 'market': {exc}") from None
-        market_name = None
+        values[key] = type(default)(value)
+
+    market = values["market"]
+    if isinstance(market, str):
+        mkt = _construct(lambda _: label("market"), preset_market, market)
+    elif (isinstance(market, dict) and set(market) == {"mu", "r", "sigma"}
+          and all(map(_is_number, market.values()))):
+        values["market"] = {key: float(value) for key, value in market.items()}
+        mkt = _construct(lambda _: label("market"), MarketParams, **values["market"])
     else:
-        raise ConfigError("invalid value for 'market': expected preset name or object")
+        raise ConfigError(
+            "invalid value for 'market': expected a preset name or an object "
+            "with numeric mu, r, sigma"
+        )
 
-    for key in ("gamma", "dt", "beta", "y", "tail_fraction"):
-        require(isinstance(raw[key], (int, float)) and not isinstance(raw[key], bool), key, "expected a number")
-    for key in ("n_paths", "horizon", "entry_age", "retirement_age", "n_init",
-                "n_total", "acquisition_budget", "seed"):
-        require(isinstance(raw[key], int) and not isinstance(raw[key], bool), key, "expected an integer")
-    require(isinstance(raw["common_random_numbers"], bool), "common_random_numbers", "expected a boolean")
+    def build(cls, **objects):
+        own = {f.name: values[f.name] for f in fields(cls) if f.name in DEFAULTS}
+        return _construct(label, cls, **objects, **own)
 
-    require(raw["gamma"] >= 0, "gamma", "must be >= 0")
-    require(raw["n_paths"] >= 1, "n_paths", "must be >= 1")
-    require(raw["horizon"] >= 1, "horizon", "must be >= 1")
-    require(0 < raw["beta"] < 1, "beta", "must lie in (0, 1)")
-    require(raw["y"] > 0, "y", "must be positive")
-    require(raw["retirement_age"] > raw["entry_age"], "retirement_age", "must exceed entry_age")
-    require(raw["n_init"] >= 2, "n_init", "must be >= 2")
-    require(raw["n_total"] > raw["n_init"], "n_total", "must exceed n_init")
-    require(raw["acquisition_budget"] >= 1, "acquisition_budget", "must be >= 1")
-    require(0 <= raw["seed"] < 2**64, "seed", "must fit in 64 bits")
-    require(0 < raw["tail_fraction"] <= 1, "tail_fraction", "must lie in (0, 1]")
-    dt = float(raw["dt"])
-    steps = 1.0 / dt if dt > 0 else float("nan")
-    require(dt > 0 and abs(steps - round(steps)) < 1e-9, "dt", "steps per year must be integer")
+    spec = build(ObjectiveSpec, cfg=build(FundConfig), mkt=mkt)
+    return build(ExperimentConfig, spec=spec, bo=build(BoConfig))
 
-    return ExperimentConfig(
-        market=market,
-        market_name=market_name,
-        gamma=float(raw["gamma"]),
-        n_paths=raw["n_paths"],
-        horizon=raw["horizon"],
-        dt=dt,
-        beta=float(raw["beta"]),
-        y=float(raw["y"]),
-        entry_age=raw["entry_age"],
-        retirement_age=raw["retirement_age"],
-        n_init=raw["n_init"],
-        n_total=raw["n_total"],
-        acquisition_budget=raw["acquisition_budget"],
-        common_random_numbers=raw["common_random_numbers"],
-        seed=raw["seed"],
-        tail_fraction=float(raw["tail_fraction"]),
-    )
+
+def _effective_config(args) -> ExperimentConfig:
+    """The config file with ``--seed`` and ``--fast`` merged in, validated
+    together with the command's own flags, before anything runs or is written."""
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = ("--seed", args.seed)
+    if args.fast:
+        overrides.update({key: ("--fast", value) for key, value in FAST_PROFILE.items()})
+    config = load_config(args.config, overrides)
+    if "pi" in vars(args):
+        _construct(lambda name: f"--{name}", PolicyParams, pi=args.pi, theta=args.theta)
+    if "paths" in vars(args):
+        _construct(lambda _: "--paths", replace, config.spec, n_paths=args.paths)
+    if "resolution" in vars(args):
+        _construct(lambda _: "--resolution", _lattice, args.resolution)
+    cfg = config.spec.cfg
+    if args.command in TRACKING_COMMANDS and not (
+        cfg.n_generations <= TRACKED_GENERATION <= cfg.horizon
+    ):
+        key = "horizon" if cfg.horizon < TRACKED_GENERATION else "retirement_age"
+        raise ConfigError(
+            f"invalid value for {key!r}: {args.command} tracks generation "
+            f"{TRACKED_GENERATION}, which needs n_generations <= {TRACKED_GENERATION} "
+            f"<= horizon (got {cfg.n_generations} and {cfg.horizon})"
+        )
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +260,6 @@ FUNDING_HEADER = ["month", "years", "mean_ratio"]
 CDF_HEADER = ["generation", "plan", "benefit", "cdf"]
 
 
-def _write_trace(path: Path, trace: BoTrace) -> None:
-    rows = [
-        [rec.iteration, rec.pi, rec.theta, rec.ce, rec.eu, rec.eu_stderr,
-         rec.n_bankrupt, rec.any_bankruptcy, rec.solvency_margin, rec.incumbent_pi,
-         rec.incumbent_theta, rec.incumbent_ce, rec.gp_length_scale, rec.gp_noise]
-        for rec in trace.records
-    ]
-    _write_csv(path, TRACE_HEADER, rows)
-
-
 def _trace_summary(trace: BoTrace) -> dict:
     inc = trace.incumbent
     runners = [
@@ -299,47 +275,59 @@ def _trace_summary(trace: BoTrace) -> dict:
     }
 
 
+def _lattice(resolution: int) -> list[PolicyParams]:
+    """The ``resolution x resolution`` lattice over ``OMEGA``, corners included."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
+    pis, thetas = (np.linspace(lo, hi, resolution) for lo, hi in OMEGA)
+    return [PolicyParams(pi=float(pi), theta=float(theta)) for pi in pis for theta in thetas]
+
+
 def run_grid_oracle(config: ExperimentConfig, resolution: int):
     """Evaluate the objective on a full lattice over the search box.
 
     Returns (rows, argmax_row) where each row is (pi, theta, ce, eu,
     eu_stderr, n_bankrupt). The lattice includes the box corners.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
-    spec = config.objective_spec()
-    pis = np.linspace(0.0, 3.0, resolution)
-    thetas = np.linspace(0.0, 1.0, resolution)
     rows = []
-    best = None
-    for pi in pis:
-        for theta in thetas:
-            val = evaluate_policy(PolicyParams(pi=float(pi), theta=float(theta)), spec)
-            row = (float(pi), float(theta), val.ce, val.eu, val.eu_stderr, val.n_bankrupt)
-            rows.append(row)
-            if best is None or row[2] > best[2]:
-                best = row
-    return rows, best
+    for policy in _lattice(resolution):
+        val = evaluate_policy(policy, config.spec)
+        rows.append((policy.pi, policy.theta, val.ce, val.eu, val.eu_stderr, val.n_bankrupt))
+    return rows, max(rows, key=lambda row: row[2])
+
+
+def _optimize(config: ExperimentConfig, outdir: Path) -> dict:
+    """Run the optimizer, write ``bo_trace.csv`` and ``bo_summary.json``, and
+    return the summary."""
+    trace = run_bo(config.spec, config.bo)
+    _write_csv(
+        outdir / "bo_trace.csv", TRACE_HEADER,
+        ([getattr(rec, name) for name in TRACE_HEADER] for rec in trace.records),
+    )
+    summary = _trace_summary(trace)
+    _write_json(outdir / "bo_summary.json", summary)
+    return summary
 
 
 def _analysis_outputs(config: ExperimentConfig, policy: PolicyParams, outdir: Path) -> list[Path]:
-    cfg = config.fund_config()
+    spec = config.spec
+    cfg = spec.cfg
     generations = range(cfg.n_generations, cfg.horizon + 1)
     batch = simulate_batch(
-        cfg, policy, config.market, seed=config.seed, n_paths=config.n_paths,
+        cfg, policy, spec.mkt, seed=spec.seed, n_paths=spec.n_paths,
         record_funding_ratios=True, tracked_generations=(TRACKED_GENERATION,),
     )
     idc_terms = idc_terminal_benefits(
-        cfg, policy.pi, config.market, seed=config.seed, n_paths=config.n_paths,
+        cfg, policy.pi, spec.mkt, seed=spec.seed, n_paths=spec.n_paths,
         generations=generations,
     )
     idc_traj = idc_trajectories(
-        cfg, policy.pi, config.market, seed=config.seed, n_paths=config.n_paths,
+        cfg, policy.pi, spec.mkt, seed=spec.seed, n_paths=spec.n_paths,
         generations=(TRACKED_GENERATION,),
     )
 
     cdc_by_gen = {i: batch.benefits(i) for i in generations}
-    rows = welfare_rows(cdc_by_gen, idc_terms, config.gamma)
+    rows = welfare_rows(cdc_by_gen, idc_terms, cfg.gamma)
     welfare_path = outdir / "welfare_table.csv"
     _write_csv(
         welfare_path,
@@ -347,16 +335,17 @@ def _analysis_outputs(config: ExperimentConfig, policy: PolicyParams, outdir: Pa
         [(r.generation, r.plan, r.median, r.q01, r.ce) for r in rows],
     )
 
-    cdc_rough = ir_roughness_batch(batch.account_trajectories[TRACKED_GENERATION])
-    idc_rough = ir_roughness_batch(idc_traj[TRACKED_GENERATION])
+    roughness = {
+        "CDC": ir_roughness_batch(batch.account_trajectories[TRACKED_GENERATION]),
+        "IDC": ir_roughness_batch(idc_traj[TRACKED_GENERATION]),
+    }
+    mean_roughness = {plan: float(np.nanmean(r)) for plan, r in roughness.items()}
     rough_path = outdir / "roughness.csv"
     _write_csv(
         rough_path,
         ROUGHNESS_HEADER,
-        [
-            ("CDC", TRACKED_GENERATION, float(np.nanmean(cdc_rough)), int(np.isfinite(cdc_rough).sum())),
-            ("IDC", TRACKED_GENERATION, float(np.nanmean(idc_rough)), int(np.isfinite(idc_rough).sum())),
-        ],
+        [(plan, TRACKED_GENERATION, mean_roughness[plan], int(np.isfinite(r).sum()))
+         for plan, r in roughness.items()],
     )
 
     mean_ratio = mean_funding_ratio_trajectory(batch.funding_ratios)
@@ -382,28 +371,26 @@ def _analysis_outputs(config: ExperimentConfig, policy: PolicyParams, outdir: Pa
         {
             "pi": policy.pi,
             "theta": policy.theta,
-            "n_paths": config.n_paths,
+            "n_paths": spec.n_paths,
             "n_bankrupt": batch.n_bankrupt,
-            "mean_roughness": {
-                "CDC": float(np.nanmean(cdc_rough)),
-                "IDC": float(np.nanmean(idc_rough)),
-            },
+            "mean_roughness": mean_roughness,
             "mean_funding_ratio_at_end": float(mean_ratio[-1]),
         },
     )
     return [welfare_path, rough_path, funding_path, cdf_path, summary_path]
 
 
-def _trajectory_output(config: ExperimentConfig, policy: PolicyParams, outdir: Path,
-                       n_paths: int) -> Path:
-    cfg = config.fund_config()
+def _trajectory_output(spec: ObjectiveSpec, policy: PolicyParams, outdir: Path) -> Path:
+    """Dump ``spec.n_paths`` paths of the fund and of the benchmark account."""
+    cfg = spec.cfg
+    n_paths = spec.n_paths
     batch = simulate_batch(
-        cfg, policy, config.market, seed=config.seed, n_paths=n_paths,
+        cfg, policy, spec.mkt, seed=spec.seed, n_paths=n_paths,
         record_funding_ratios=True, record_state=True,
         tracked_generations=(TRACKED_GENERATION,),
     )
     idc_traj = idc_trajectories(
-        cfg, policy.pi, config.market, seed=config.seed, n_paths=n_paths,
+        cfg, policy.pi, spec.mkt, seed=spec.seed, n_paths=n_paths,
         generations=(TRACKED_GENERATION,),
     )
     spy = cfg.steps_per_year
@@ -437,6 +424,7 @@ def run_cell(config: ExperimentConfig, outdir: Path, trajectory_paths: int = 10)
     Writes all artifacts plus a manifest with seeds, versions and wall times;
     any stage failure is recorded in the manifest and re-raised.
     """
+    trajectory_spec = replace(config.spec, n_paths=trajectory_paths)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
         "config": config.echo(),
@@ -473,16 +461,12 @@ def run_cell(config: ExperimentConfig, outdir: Path, trajectory_paths: int = 10)
         }
         return result
 
-    def _optimize():
-        trace = run_bo(config.objective_spec(), config.bo_config())
-        _write_trace(outdir / "bo_trace.csv", trace)
-        _write_json(outdir / "bo_summary.json", _trace_summary(trace))
-        outputs.extend([outdir / "bo_trace.csv", outdir / "bo_summary.json"])
-        return trace
-
-    trace = stage("optimize", _optimize)
-    incumbent = PolicyParams(pi=trace.incumbent.incumbent_pi, theta=trace.incumbent.incumbent_theta)
-    outputs.append(stage("simulate", lambda: _trajectory_output(config, incumbent, outdir, trajectory_paths)))
+    summary = stage("optimize", lambda: _optimize(config, outdir))
+    outputs.extend([outdir / "bo_trace.csv", outdir / "bo_summary.json"])
+    incumbent = PolicyParams(pi=summary["pi_star"], theta=summary["theta_star"])
+    outputs.append(
+        stage("simulate", lambda: _trajectory_output(trajectory_spec, incumbent, outdir))
+    )
     outputs.extend(stage("analyze", lambda: _analysis_outputs(config, incumbent, outdir)))
 
     manifest["outputs"] = {p.name: _sha256(p) for p in outputs}
@@ -500,22 +484,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", default="outputs", help="directory for file outputs")
     parser.add_argument(
         "--fast", action="store_true",
-        help="desk-scale profile: 2000 paths and 60 optimizer evaluations",
+        help=f"desk-scale profile: {FAST_PROFILE['n_paths']} paths and "
+        f"{FAST_PROFILE['n_total']} optimizer evaluations",
     )
 
 
 def _policy_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pi", type=float, required=True, help="risky investment fraction")
     parser.add_argument("--theta", type=float, required=True, help="declaration adjustment strength")
-
-
-def _effective_config(args) -> ExperimentConfig:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.fast:
-        config = replace(config, n_paths=2_000, n_total=60)
-    return config
 
 
 def main(argv=None) -> int:
@@ -559,7 +535,7 @@ def main(argv=None) -> int:
     outdir = Path(args.output_dir)
 
     if args.command == "evaluate":
-        value = evaluate_policy(PolicyParams(pi=args.pi, theta=args.theta), config.objective_spec())
+        value = evaluate_policy(PolicyParams(pi=args.pi, theta=args.theta), config.spec)
         print(json.dumps({
             "pi": args.pi, "theta": args.theta, "ce": value.ce, "eu": value.eu,
             "eu_stderr": value.eu_stderr, "n_bankrupt": value.n_bankrupt,
@@ -571,18 +547,15 @@ def main(argv=None) -> int:
     _write_json(outdir / "effective_config.json", config.echo())
 
     if args.command == "optimize":
-        trace = run_bo(config.objective_spec(), config.bo_config())
-        _write_trace(outdir / "bo_trace.csv", trace)
-        summary = _trace_summary(trace)
-        _write_json(outdir / "bo_summary.json", summary)
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(_optimize(config, outdir), sort_keys=True))
     elif args.command == "grid":
         rows, best = run_grid_oracle(config, args.resolution)
         _write_csv(outdir / "grid.csv", GRID_HEADER, rows)
         print(json.dumps({"pi_star": best[0], "theta_star": best[1], "ce_star": best[2]},
                          sort_keys=True))
     elif args.command == "simulate":
-        _trajectory_output(config, PolicyParams(pi=args.pi, theta=args.theta), outdir, args.paths)
+        _trajectory_output(replace(config.spec, n_paths=args.paths),
+                           PolicyParams(pi=args.pi, theta=args.theta), outdir)
     elif args.command == "analyze":
         _analysis_outputs(config, PolicyParams(pi=args.pi, theta=args.theta), outdir)
     elif args.command == "run-cell":

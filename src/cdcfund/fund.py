@@ -1,4 +1,4 @@
-"""Collective defined-contribution fund: state machine and batch simulator.
+"""Collective defined-contribution fund: the batch simulator.
 
 The fund pools the benefit accounts of overlapping working generations.
 Between the annual cash-flow jumps (contributions in, lump-sum retirement
@@ -15,30 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import (
-    MarketParams,
-    RandomStream,
-    expected_log_return,
-    growth_factors,
-    log_return_increment,
-    normal_matrix,
-)
+from .market import MarketParams, expected_log_return, growth_factors, normal_matrix
 
 __all__ = [
+    "OMEGA",
     "FundConfig",
     "PolicyParams",
-    "FundState",
-    "PathRecord",
     "SimulationBatch",
-    "generation_indicator",
     "entry_cohort_account",
-    "initialize_fund",
-    "declaration_rate",
-    "step_month",
-    "year_boundary_jump",
-    "simulate_path",
     "simulate_batch",
 ]
+
+# policy box: risky fraction in [0, 3], adjustment strength in [0, 1]
+OMEGA = ((0.0, 3.0), (0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -63,10 +52,11 @@ class FundConfig:
     def __post_init__(self) -> None:
         if self.y <= 0:
             raise ValueError(f"y must be positive, got {self.y}")
-        if self.retirement_age <= self.entry_age:
+        if self.retirement_age < self.entry_age + 2:
+            # with one generation the fund starts empty: a 0/0 funding ratio
             raise ValueError(
-                f"retirement_age must exceed entry_age, got "
-                f"{self.retirement_age} <= {self.entry_age}"
+                f"retirement_age must exceed entry_age by at least 2 years, got "
+                f"{self.retirement_age} and {self.entry_age}"
             )
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
@@ -77,7 +67,7 @@ class FundConfig:
         spy = 1.0 / self.dt if self.dt > 0 else float("nan")
         if not (self.dt > 0 and abs(spy - round(spy)) < 1e-9):
             raise ValueError(
-                f"dt must give an integer number of steps per year, got dt={self.dt}"
+                f"dt must divide the year: steps per year must be integer, got dt={self.dt}"
             )
 
     @property
@@ -97,47 +87,17 @@ class FundConfig:
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """The fund's decision pair: risky fraction ``pi``, adjustment strength ``theta``."""
+    """The fund's decision pair, inside ``OMEGA``: risky fraction ``pi``,
+    adjustment strength ``theta``."""
 
     pi: float
     theta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.pi <= 3.0:
-            raise ValueError(f"pi must lie in [0, 3], got {self.pi}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-
-
-@dataclass
-class FundState:
-    """Mutable per-path fund state: time, asset, liability and open accounts."""
-
-    t: float
-    assets: float
-    liabilities: float
-    accounts: dict[int, float]
-    bankrupt: bool = False
-
-
-@dataclass
-class PathRecord:
-    """Immutable record of one simulated path.
-
-    ``payments[t-1]`` is the retirement benefit paid at year ``t`` (NaN from
-    the bankruptcy year onward), ``funding_ratios`` samples asset/liability at
-    every inner step (pre-jump at integer years), and ``account_trajectories``
-    maps a tracked generation to its account value at each step of its working
-    life (``40 * steps_per_year + 1`` samples, NaN after bankruptcy).
-    """
-
-    payments: np.ndarray
-    funding_ratios: np.ndarray
-    bankrupt_at: float | None = None
-    account_trajectories: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def account_trajectory(self, generation: int) -> np.ndarray:
-        return self.account_trajectories[generation]
+        for name, (lo, hi) in zip(("pi", "theta"), OMEGA):
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
 
 
 @dataclass
@@ -161,10 +121,6 @@ class SimulationBatch:
     account_trajectories: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
-    def n_paths(self) -> int:
-        return self.payments.shape[0]
-
-    @property
     def n_bankrupt(self) -> int:
         return int(np.sum(~np.isnan(self.bankrupt_at)))
 
@@ -177,11 +133,6 @@ class SimulationBatch:
         if not 1 <= generation <= self.horizon:
             raise ValueError(f"no benefit paid for generation {generation}")
         return self.payments[:, generation - 1]
-
-
-def generation_indicator(tau: int, t: float, retirement_age: int) -> int:
-    """Indicator of the generation aged ``tau`` at time ``t``: its retirement year."""
-    return retirement_age - tau + math.floor(t)
 
 
 def entry_cohort_account(i: int, cfg: FundConfig, r: float) -> float:
@@ -197,138 +148,16 @@ def entry_cohort_account(i: int, cfg: FundConfig, r: float) -> float:
     return cfg.y * sum(math.exp(r * k) for k in range(1, n - i + 1))
 
 
-def initialize_fund(cfg: FundConfig, r: float) -> FundState:
-    """Fund state at time 0 with the entry cohorts loaded and the jump not yet applied.
-
-    Asset and liability both equal the summed entry accounts, so the initial
-    funding ratio is exactly one.
-    """
-    accounts = {i: entry_cohort_account(i, cfg, r) for i in range(1, cfg.n_generations + 1)}
-    a0 = sum(accounts.values())
-    return FundState(t=0.0, assets=a0, liabilities=a0, accounts=accounts)
-
-
-def declaration_rate(state: FundState, policy: PolicyParams, mkt: MarketParams) -> float:
-    """Crediting rate applied to all accounts: expected portfolio log-return
-    plus ``theta`` times the log funding ratio."""
-    if state.assets <= 0.0 or state.liabilities <= 0.0:
+def _draw_matrix(cfg: FundConfig, seed: int, n_paths: int, normals: np.ndarray | None):
+    """The given draw matrix, checked against ``(n_paths, n_steps)``, or the
+    seed's matrix when none is given; the benchmark accounts share it."""
+    if normals is None:
+        return normal_matrix(seed, n_paths, cfg.n_steps)
+    if normals.shape != (n_paths, cfg.n_steps):
         raise ValueError(
-            f"declaration rate undefined for assets={state.assets}, "
-            f"liabilities={state.liabilities}"
+            f"normals must have shape ({n_paths}, {cfg.n_steps}), got {normals.shape}"
         )
-    return expected_log_return(mkt, policy.pi) + policy.theta * math.log(
-        state.assets / state.liabilities
-    )
-
-
-def step_month(
-    state: FundState, cfg: FundConfig, policy: PolicyParams, mkt: MarketParams, z: float
-) -> FundState:
-    """Advance the state by one inner step.
-
-    The declaration rate is frozen at its start-of-step value; the asset is
-    multiplied by the exact portfolio growth factor while every account and
-    the liability are multiplied by ``exp(rate * dt)``.
-    """
-    eta = declaration_rate(state, policy, mkt)
-    credit = math.exp(eta * cfg.dt)
-    state.assets *= math.exp(log_return_increment(mkt, policy.pi, cfg.dt, z))
-    state.liabilities *= credit
-    for i in state.accounts:
-        state.accounts[i] *= credit
-    state.t += cfg.dt
-    if state.assets <= 0.0:
-        state.bankrupt = True
-    return state
-
-
-def year_boundary_jump(state: FundState, cfg: FundConfig, t: int) -> tuple[FundState, float]:
-    """Apply the cash-flow jump at integer year ``t``; returns the benefit paid.
-
-    For ``t >= 1`` the retiring generation ``i = t`` is paid its account value
-    as a lump sum and a new generation joins with an empty account; every
-    working generation (the newcomer included) then contributes ``y``. The
-    same net flow is applied to asset and liability. At ``t = 0`` there is no
-    retiree, so only contributions apply.
-    """
-    n = cfg.n_generations
-    benefit = 0.0
-    if t >= 1:
-        benefit = state.accounts.pop(t)
-        state.accounts[t + n] = 0.0
-    for i in state.accounts:
-        state.accounts[i] += cfg.y
-    net = n * cfg.y - benefit
-    state.assets += net
-    state.liabilities += net
-    if state.assets <= 0.0:
-        state.bankrupt = True
-    return state, benefit
-
-
-def simulate_path(
-    cfg: FundConfig,
-    policy: PolicyParams,
-    mkt: MarketParams,
-    stream: RandomStream,
-    *,
-    tracked_generations: tuple[int, ...] = (),
-    initial_funding_ratio: float = 1.0,
-) -> PathRecord:
-    """Simulate one path of the fund from time 0 to the horizon.
-
-    Alternates the year-boundary jump with the inner steps of each year.
-    On bankruptcy the path is frozen and the remaining payments (including
-    the one at the bankruptcy jump) are recorded as NaN.
-    """
-    spy = cfg.steps_per_year
-    n = cfg.n_generations
-    for i in tracked_generations:
-        if not n <= i <= cfg.horizon:
-            raise ValueError(f"tracked generation must lie in {n}..{cfg.horizon}, got {i}")
-
-    z = stream.normals(cfg.n_steps)
-    state = initialize_fund(cfg, mkt.r)
-    state.assets *= initial_funding_ratio
-
-    payments = np.full(cfg.horizon, np.nan)
-    ratios = np.full(cfg.n_steps + 1, np.nan)
-    ratios[0] = state.assets / state.liabilities
-    trajectories = {i: np.full(n * spy + 1, np.nan) for i in tracked_generations}
-    bankrupt_at: float | None = None
-
-    for t in range(cfg.horizon + 1):
-        state, benefit = year_boundary_jump(state, cfg, t)
-        if state.bankrupt:
-            bankrupt_at = float(t)
-            break
-        if t >= 1:
-            payments[t - 1] = benefit
-        for i in tracked_generations:
-            if t - (i - n) == 0:
-                trajectories[i][0] = state.accounts[i]
-        if t == cfg.horizon:
-            break
-        for step in range(spy):
-            state = step_month(state, cfg, policy, mkt, z[t * spy + step])
-            if state.bankrupt:  # unreachable via multiplicative updates; kept as a guard
-                bankrupt_at = state.t
-                break
-            sample = t * spy + step + 1
-            ratios[sample] = state.assets / state.liabilities
-            for i in tracked_generations:
-                local = sample - (i - n) * spy
-                if 0 < local <= n * spy:
-                    trajectories[i][local] = state.accounts[i]
-        if state.bankrupt:
-            break
-
-    return PathRecord(
-        payments=payments,
-        funding_ratios=ratios,
-        bankrupt_at=bankrupt_at,
-        account_trajectories=trajectories,
-    )
+    return normals
 
 
 def simulate_batch(
@@ -342,16 +171,15 @@ def simulate_batch(
     record_funding_ratios: bool = False,
     record_state: bool = False,
     tracked_generations: tuple[int, ...] = (),
-    initial_funding_ratio: float = 1.0,
 ) -> SimulationBatch:
     """Simulate ``n_paths`` independent paths, vectorized across paths.
 
-    Row ``p`` consumes the draws of ``RandomStream(seed, p)``, so results
-    agree with ``simulate_path`` on the matching stream. ``normals`` may be
-    passed to reuse a draw matrix across calls (common random numbers);
-    otherwise it is generated (and cached) from ``seed``. Growth factors are
-    computed one year of draws at a time, which reads contiguous memory when
-    the draws are stored time-major as :func:`normal_matrix` stores them.
+    Row ``p`` consumes the draws of ``RandomStream(seed, p)``. ``normals``
+    may be passed to reuse a draw matrix across calls (common random
+    numbers); otherwise it is generated (and cached) from ``seed``. Growth
+    factors are computed one year of draws at a time, which reads contiguous
+    memory when the draws are stored time-major as :func:`normal_matrix`
+    stores them.
 
     Within a year all accounts share one accumulated crediting factor, so the
     per-generation accounts are materialized at year boundaries only; tracked
@@ -363,10 +191,7 @@ def simulate_batch(
     for i in tracked_generations:
         if not n <= i <= cfg.horizon:
             raise ValueError(f"tracked generation must lie in {n}..{cfg.horizon}, got {i}")
-    if normals is None:
-        normals = normal_matrix(seed, n_paths, n_steps)
-    elif normals.shape != (n_paths, n_steps):
-        raise ValueError(f"normals must have shape ({n_paths}, {n_steps}), got {normals.shape}")
+    normals = _draw_matrix(cfg, seed, n_paths, normals)
 
     mu_pi = expected_log_return(mkt, policy.pi)
     theta = policy.theta
@@ -380,7 +205,7 @@ def simulate_batch(
     for i in range(1, n + 1):
         accounts[:, i % n] = entry[i - 1]
 
-    assets = np.full(n_paths, a0 * initial_funding_ratio)
+    assets = np.full(n_paths, a0)
     liabilities = np.full(n_paths, a0)
     cum_credit = np.ones(n_paths)
     alive = np.ones(n_paths, dtype=bool)

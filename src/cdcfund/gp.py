@@ -12,12 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 __all__ = [
     "Matern52Kernel",
     "GpModel",
-    "matern52",
     "build_model",
     "fit",
     "posterior",
@@ -59,14 +57,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def matern52(x, x2, h: float, signal_variance: float = 1.0) -> float:
-    """Matern-5/2 covariance between two points at distance ``d = |x - x2|``:
-    ``sv * (1 + sqrt(5) d/h + 5 d^2 / (3 h^2)) * exp(-sqrt(5) d/h)``."""
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    b = np.atleast_2d(np.asarray(x2, dtype=float))
-    return float(Matern52Kernel(h, signal_variance).matrix(a, b)[0, 0])
-
-
 @dataclass
 class GpModel:
     """Fitted regression model; treat as immutable after construction.
@@ -86,10 +76,6 @@ class GpModel:
     log_marginal_likelihood: float
     _chol: np.ndarray
     _alpha: np.ndarray
-
-    @property
-    def n_train(self) -> int:
-        return self.train_inputs.shape[0]
 
 
 def build_model(
@@ -120,6 +106,8 @@ def _training_data(X, f) -> tuple[np.ndarray, np.ndarray]:
 
 def _condition(X, f, kernel, k_xx, noise_variance, prior_mean) -> GpModel:
     """:func:`build_model` given the noise-free kernel matrix ``k_xx``."""
+    from scipy.linalg import cho_solve  # deferred: commands that fit no GP skip it
+
     if noise_variance < 0:
         raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
     n = X.shape[0]
@@ -192,6 +180,8 @@ def posterior(model: GpModel, x) -> tuple:
     floats for a single point and arrays otherwise. The predictive variance
     of the latent function is clamped at zero.
     """
+    from scipy.linalg import solve_triangular
+
     q = np.asarray(x, dtype=float)
     single = q.ndim == 1
     q = np.atleast_2d(q)

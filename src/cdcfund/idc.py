@@ -8,36 +8,12 @@ step makes all comparisons against the fund use common random numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fund import FundConfig
-from .market import MarketParams, RandomStream, growth_factors, normal_matrix
+from .fund import FundConfig, _draw_matrix
+from .market import MarketParams, growth_factors
 
-__all__ = [
-    "IdcRecord",
-    "simulate_idc",
-    "idc_terminal_benefits",
-    "idc_trajectories",
-]
-
-
-@dataclass
-class IdcRecord:
-    """One benchmark account: its monthly values and terminal benefit.
-
-    ``values`` holds ``40 * steps_per_year + 1`` samples over the working
-    life, starting right after the first contribution; the last sample is the
-    retirement benefit.
-    """
-
-    generation: int
-    values: np.ndarray
-
-    @property
-    def terminal_benefit(self) -> float:
-        return float(self.values[-1])
+__all__ = ["idc_terminal_benefits", "idc_trajectories"]
 
 
 def _check_generation(generation: int, cfg: FundConfig) -> None:
@@ -49,27 +25,8 @@ def _check_generation(generation: int, cfg: FundConfig) -> None:
         )
 
 
-def simulate_idc(
-    generation: int,
-    cfg: FundConfig,
-    pi: float,
-    mkt: MarketParams,
-    stream: RandomStream,
-) -> IdcRecord:
-    """Simulate one benchmark account on one market path.
-
-    The stream indexes the same market path as the paired fund simulation:
-    the full path's draws are consumed and the account uses the slice covering
-    its own working window, so the log market increments per step are
-    bit-identical to the fund asset's.
-    """
-    _check_generation(generation, cfg)
-    z = stream.normals(cfg.n_steps)
-    return _simulate_window(generation, cfg, pi, mkt, z[np.newaxis, :])[0]
-
-
-def _simulate_window(generation, cfg, pi, mkt, normals):
-    """Shared single/batch recursion over one generation's working window.
+def _simulate_window(generation, cfg, pi, mkt, normals) -> np.ndarray:
+    """Account values of one generation, ``(n_paths, n * steps_per_year + 1)``.
 
     Samples at year boundaries are taken before the contribution, matching
     the fund's tracked-account convention; the first sample is the opening
@@ -88,7 +45,7 @@ def _simulate_window(generation, cfg, pi, mkt, normals):
         values[:, local + 1] = account
         if (local + 1) % spy == 0 and local + 1 < n * spy:
             account += cfg.y
-    return [IdcRecord(generation=generation, values=values[p]) for p in range(n_paths)]
+    return values
 
 
 def idc_terminal_benefits(
@@ -110,8 +67,7 @@ def idc_terminal_benefits(
     generations = tuple(generations)
     for i in generations:
         _check_generation(i, cfg)
-    if normals is None:
-        normals = normal_matrix(seed, n_paths, cfg.n_steps)
+    normals = _draw_matrix(cfg, seed, n_paths, normals)
     spy = cfg.steps_per_year
     # annual[t] is the market growth over year t+1, built one year of draws
     # at a time; rows are years, columns paths
@@ -140,13 +96,13 @@ def idc_trajectories(
     *,
     normals: np.ndarray | None = None,
 ) -> dict[int, np.ndarray]:
-    """Per-step account values of the given generations across paths."""
+    """Per-step account values of the given generations across paths.
+
+    Row ``p`` of each array runs on the draws of ``RandomStream(seed, p)``,
+    the market path of the paired fund simulation; the log market increments
+    per step are bit-identical to the fund asset's.
+    """
     for i in generations:
         _check_generation(i, cfg)
-    if normals is None:
-        normals = normal_matrix(seed, n_paths, cfg.n_steps)
-    out = {}
-    for i in generations:
-        records = _simulate_window(i, cfg, pi, mkt, normals)
-        out[i] = np.stack([rec.values for rec in records])
-    return out
+    normals = _draw_matrix(cfg, seed, n_paths, normals)
+    return {i: _simulate_window(i, cfg, pi, mkt, normals) for i in generations}

@@ -21,7 +21,6 @@ __all__ = [
     "crra_utility",
     "certainty_equivalent",
     "certainty_equivalent_stderr",
-    "discounted_utility_sum",
     "evaluate_policy",
     "value_from_batch",
 ]
@@ -39,6 +38,8 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -97,19 +98,6 @@ def certainty_equivalent_stderr(eu: float, eu_stderr: float, gamma: float) -> fl
     if gamma == 1.0:
         return ce * eu_stderr
     return abs(ce / ((1.0 - gamma) * eu)) * eu_stderr
-
-
-def discounted_utility_sum(payments, beta: float, gamma: float) -> float:
-    """Sum of ``beta**t * U(payment_t)`` over the benefit stream ``t = 1..T``.
-
-    ``payments[t-1]`` is the benefit paid at year ``t``; there is no year-0
-    term because no benefit is paid at inception.
-    """
-    b = np.asarray(payments, dtype=float)
-    if b.ndim != 1:
-        raise ValueError("payments must be one-dimensional")
-    discounts = beta ** np.arange(1, b.size + 1)
-    return float(discounts @ crra_utility(b, gamma))
 
 
 def value_from_batch(batch: SimulationBatch, cfg: FundConfig) -> ObjectiveValue:

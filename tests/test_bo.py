@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cdcfund.bo import (
-    OMEGA,
     BoConfig,
     expected_improvement,
     latin_hypercube,
@@ -15,7 +14,7 @@ from cdcfund.bo import (
     run_bo,
 )
 from cdcfund.bo import _argmax_ei
-from cdcfund.fund import FundConfig, PolicyParams
+from cdcfund.fund import OMEGA, FundConfig, PolicyParams
 from cdcfund.gp import Matern52Kernel, build_model, fit
 from cdcfund.market import preset_market
 from cdcfund.objective import ObjectiveSpec, ObjectiveValue

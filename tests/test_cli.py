@@ -11,6 +11,7 @@ import pytest
 import cdcfund
 from cdcfund.cli import (
     CDF_HEADER,
+    DEFAULTS,
     FUNDING_HEADER,
     GRID_HEADER,
     ROUGHNESS_HEADER,
@@ -23,6 +24,7 @@ from cdcfund.cli import (
     run_cell,
     run_grid_oracle,
 )
+from cdcfund.market import preset_market
 
 TINY = """
 {"market": "M1", "gamma": 3, "n_paths": 40, "horizon": 50,
@@ -32,11 +34,12 @@ TINY = """
 
 def test_cli_import_defers_scipy_stats_and_special():
     # scipy.stats alone takes about a second to import; commands that never
-    # optimize must not pay for it
+    # optimize must not pay for it, nor for scipy.linalg, which only the GP uses
     env = dict(os.environ, PYTHONPATH=str(Path(cdcfund.__file__).resolve().parents[1]))
     code = (
         "import sys, cdcfund.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
+        "if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
@@ -46,11 +49,12 @@ def test_cli_import_defers_scipy_stats_and_special():
 class TestParseConfig:
     def test_empty_document_gives_defaults(self):
         cfg = parse_config("")
-        assert cfg.market_name == "M1"
-        assert cfg.gamma == 3.0
-        assert cfg.n_paths == 10_000
-        assert cfg.seed == 0
-        assert cfg.fund_config().n_generations == 40
+        assert cfg.market == "M1"
+        assert cfg.spec.mkt == preset_market("M1")
+        assert cfg.spec.cfg.gamma == 3.0
+        assert cfg.spec.n_paths == 10_000
+        assert cfg.spec.seed == cfg.bo.seed == 0
+        assert cfg.spec.cfg.n_generations == 40
 
     def test_negative_gamma_names_key(self):
         with pytest.raises(ConfigError, match="gamma"):
@@ -70,13 +74,25 @@ class TestParseConfig:
 
     def test_custom_market_triple(self):
         cfg = parse_config('{"market": {"mu": 0.07, "r": 0.015, "sigma": 0.2}}')
-        assert cfg.market_name is None
-        assert cfg.market.mu == 0.07
+        assert cfg.market == {"mu": 0.07, "r": 0.015, "sigma": 0.2}
+        assert cfg.spec.mkt.mu == 0.07
         assert cfg.echo()["market"] == {"mu": 0.07, "r": 0.015, "sigma": 0.2}
 
     def test_bad_market_preset(self):
         with pytest.raises(ConfigError, match="market"):
             parse_config('{"market": "M9"}')
+
+    def test_single_generation_rejected(self):
+        # one working generation starts the fund empty, at a 0/0 funding ratio
+        with pytest.raises(ConfigError, match="'retirement_age'"):
+            parse_config('{"entry_age": 64, "retirement_age": 65}')
+
+    def test_effective_config_echoes_exactly_the_keys(self):
+        for text in ("", '{"market": {"mu": 0.07, "r": 0.015, "sigma": 0.2}, "gamma": 2}'):
+            echo = parse_config(text).echo()
+            assert set(echo) == set(DEFAULTS)
+            assert parse_config(json.dumps(echo)) == parse_config(text)
+        assert parse_config("").echo() == DEFAULTS
 
     def test_bad_types_named(self):
         with pytest.raises(ConfigError, match="n_paths"):
@@ -224,3 +240,54 @@ class TestCommands:
         code = run_cli(["evaluate", "--config", str(cfg_path), "--fast",
                         "--pi", "0.0", "--theta", "0.0", "--output-dir", str(out)])
         assert code == 0
+
+    @pytest.mark.parametrize("args, flag", [
+        (["evaluate", "--seed", "-1", "--pi", "0.5", "--theta", "0.2"], "--seed"),
+        (["optimize", "--seed", "18446744073709551616"], "--seed"),
+        (["evaluate", "--pi", "5", "--theta", "0.2"], "--pi"),
+        (["simulate", "--pi", "0.5", "--theta", "-0.1"], "--theta"),
+        (["simulate", "--pi", "0.5", "--theta", "0.2", "--paths", "0"], "--paths"),
+        (["run-cell", "--paths", "0"], "--paths"),
+        (["grid", "--resolution", "1"], "--resolution"),
+        (["run-cell", "--fast"], "--fast"),
+    ])
+    def test_bad_flags_rejected_before_any_work(self, tmp_path, capsys, args, flag):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(TINY.replace('"n_init": 4', '"n_init": 60').replace(
+            '"n_total": 9', '"n_total": 70'))
+        out = tmp_path / "out"
+        assert run_cli([*args, "--config", str(cfg_path), "--output-dir", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--pi", "0.5", "--theta", "0.2"],
+        ["analyze", "--pi", "0.5", "--theta", "0.2"],
+        ["run-cell"],
+    ])
+    def test_horizon_short_of_tracked_generation_rejected(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(TINY.replace('"horizon": 50', '"horizon": 30'))
+        out = tmp_path / "out"
+        assert run_cli([*command, "--config", str(cfg_path), "--output-dir", str(out)]) == 2
+        assert "'horizon'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_effective_config_round_trip(self, tmp_path):
+        # feeding a run's effective config back as --config reproduces it
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(TINY)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(["run-cell", "--config", str(cfg_path), "--output-dir", str(out1),
+                        "--paths", "2"]) == 0
+        assert run_cli(["run-cell", "--config", str(out1 / "effective_config.json"),
+                        "--output-dir", str(out2), "--paths", "2"]) == 0
+        names = {p.name for p in out1.iterdir()}
+        assert names == {p.name for p in out2.iterdir()}
+        for name in sorted(names - {"manifest.json"}):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        m1 = json.loads((out1 / "manifest.json").read_text())
+        m2 = json.loads((out2 / "manifest.json").read_text())
+        assert m1["outputs"] == m2["outputs"]
+        echoed = json.loads((out1 / "effective_config.json").read_text())
+        assert m1["config"] == m2["config"] == echoed

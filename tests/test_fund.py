@@ -3,20 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from cdcfund.fund import (
-    FundConfig,
+from cdcfund.fund import FundConfig, PolicyParams, entry_cohort_account, simulate_batch
+from cdcfund.market import RandomStream, normal_matrix, preset_market
+from reference_fund import (
     FundState,
-    PolicyParams,
     declaration_rate,
-    entry_cohort_account,
     generation_indicator,
     initialize_fund,
-    simulate_batch,
     simulate_path,
     step_month,
     year_boundary_jump,
 )
-from cdcfund.market import MarketParams, RandomStream, normal_matrix, preset_market
 
 M1 = preset_market("M1")
 CFG = FundConfig()
@@ -212,7 +209,7 @@ class TestSimulatePath:
         b = simulate_path(CFG, policy, M1, RandomStream(3, 5), tracked_generations=(41,))
         assert np.array_equal(a.payments, b.payments)
         assert np.array_equal(a.funding_ratios, b.funding_ratios)
-        assert np.array_equal(a.account_trajectory(41), b.account_trajectory(41))
+        assert np.array_equal(a.account_trajectories[41], b.account_trajectories[41])
 
     def test_record_shapes(self):
         policy = PolicyParams(pi=0.5, theta=0.2)
@@ -221,7 +218,7 @@ class TestSimulatePath:
         assert rec.funding_ratios.shape == (1201,)
         assert rec.funding_ratios[0] == 1.0
         for i in (41, 80):
-            traj = rec.account_trajectory(i)
+            traj = rec.account_trajectories[i]
             assert traj.shape == (481,)  # the account lives 480 months
             assert not np.isnan(traj).any()
             assert traj[0] == CFG.y
@@ -268,7 +265,7 @@ class TestSimulateBatch:
                 rec.funding_ratios, batch.funding_ratios[p], rtol=1e-9, equal_nan=True
             )
             assert np.allclose(
-                rec.account_trajectory(41),
+                rec.account_trajectories[41],
                 batch.account_trajectories[41][p],
                 rtol=1e-9,
                 equal_nan=True,
@@ -396,6 +393,8 @@ class TestFundConfigValidation:
     def test_bad_ages(self):
         with pytest.raises(ValueError, match="retirement_age"):
             FundConfig(entry_age=65, retirement_age=65)
+        with pytest.raises(ValueError, match="retirement_age"):
+            FundConfig(entry_age=64, retirement_age=65)  # one generation: 0/0 funding ratio
 
     def test_policy_box(self):
         with pytest.raises(ValueError, match="pi"):

@@ -10,7 +10,6 @@ from cdcfund.gp import (
     Matern52Kernel,
     build_model,
     fit,
-    matern52,
     posterior,
 )
 
@@ -45,24 +44,25 @@ def dense_posterior(X, f, h, noise, query, signal_variance=1.0):
 
 class TestKernel:
     def test_self_covariance_is_signal_variance(self):
-        x = np.array([0.3, 0.7])
-        assert matern52(x, x, h=0.5) == 1.0
-        assert matern52(x, x, h=0.5, signal_variance=2.5) == 2.5
+        x = np.array([[0.3, 0.7]])
+        assert Matern52Kernel(0.5).matrix(x, x)[0, 0] == 1.0
+        assert Matern52Kernel(0.5, signal_variance=2.5).matrix(x, x)[0, 0] == 2.5
 
     def test_value_at_one_length_scale(self):
         # (1 + sqrt(5) + 5/3) * exp(-sqrt(5)), evaluated independently
         expected = (1 + math.sqrt(5) + 5.0 / 3.0) * math.exp(-math.sqrt(5))
-        got = matern52(np.array([0.0, 0.0]), np.array([0.5, 0.0]), h=0.5)
+        got = Matern52Kernel(0.5).matrix(np.array([[0.0, 0.0]]), np.array([[0.5, 0.0]]))[0, 0]
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.5239941088, rel=1e-9)
 
     def test_vanishes_at_long_range(self):
-        far = matern52(np.array([0.0, 0.0]), np.array([50.0, 50.0]), h=0.1)
-        assert far == pytest.approx(0.0, abs=1e-12)
+        far = Matern52Kernel(0.1).matrix(np.array([[0.0, 0.0]]), np.array([[50.0, 50.0]]))
+        assert far[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry(self):
-        a, b = np.array([0.1, 0.9]), np.array([0.8, 0.2])
-        assert matern52(a, b, h=0.3) == matern52(b, a, h=0.3)
+        a, b = np.array([[0.1, 0.9]]), np.array([[0.8, 0.2]])
+        kernel = Matern52Kernel(0.3)
+        assert kernel.matrix(a, b)[0, 0] == kernel.matrix(b, a)[0, 0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,24 +4,30 @@ import numpy as np
 import pytest
 
 from cdcfund.fund import FundConfig, PolicyParams, simulate_batch
-from cdcfund.idc import idc_terminal_benefits, idc_trajectories, simulate_idc
+from cdcfund.idc import idc_terminal_benefits, idc_trajectories
 from cdcfund.market import MarketParams, RandomStream, growth_factors, normal_matrix, preset_market
 
 M1 = preset_market("M1")
 CFG = FundConfig()
 
 
+def single_account(generation, pi, mkt, stream):
+    """One benchmark account on the draws of one market path's stream."""
+    normals = stream.normals(CFG.n_steps)[None]
+    return idc_trajectories(CFG, pi, mkt, normals=normals, generations=(generation,))[generation][0]
+
+
 class TestDeterministicOracles:
     def test_risk_free_terminal_is_geometric_sum(self):
         # contribution k years before retirement compounds to exp(r*k)
-        rec = simulate_idc(60, CFG, 0.0, M1, RandomStream(0, 0))
+        values = single_account(60, 0.0, M1, RandomStream(0, 0))
         expected = sum(math.exp(0.02 * k) for k in range(1, 41))
-        assert rec.terminal_benefit == pytest.approx(expected, rel=1e-9)
+        assert values[-1] == pytest.approx(expected, rel=1e-9)
 
     def test_zero_rate_terminal_is_contribution_count(self):
         mkt = MarketParams(mu=0.05, r=0.0, sigma=0.2)
-        rec = simulate_idc(60, CFG, 0.0, mkt, RandomStream(0, 0))
-        assert rec.terminal_benefit == pytest.approx(40.0, rel=1e-9)
+        values = single_account(60, 0.0, mkt, RandomStream(0, 0))
+        assert values[-1] == pytest.approx(40.0, rel=1e-9)
 
     def test_batch_terminals_match_oracle(self):
         out = idc_terminal_benefits(CFG, 0.0, M1, seed=0, n_paths=3, generations=(40, 70, 100))
@@ -40,9 +46,9 @@ class TestCommonRandomNumbers:
         assert np.array_equal(fund_growth[:, 0:480], idc_growth)
 
     def test_single_path_consumes_matrix_row(self):
-        rec = simulate_idc(41, CFG, 0.5, M1, RandomStream(3, 1))
+        values = single_account(41, 0.5, M1, RandomStream(3, 1))
         batch = idc_trajectories(CFG, 0.5, M1, seed=3, n_paths=2, generations=(41,))
-        assert np.array_equal(rec.values, batch[41][1])
+        assert np.array_equal(values, batch[41][1])
 
     @pytest.mark.parametrize("mkt, pi", [(M1, 0.37), (preset_market("M3"), 3.0)])
     def test_same_results_for_either_draw_layout(self, mkt, pi):
@@ -81,9 +87,9 @@ class TestCommonRandomNumbers:
 
 class TestAccountShape:
     def test_sample_count_and_start(self):
-        rec = simulate_idc(41, CFG, 1.2, M1, RandomStream(0, 0))
-        assert rec.values.shape == (481,)
-        assert rec.values[0] == CFG.y
+        values = single_account(41, 1.2, M1, RandomStream(0, 0))
+        assert values.shape == (481,)
+        assert values[0] == CFG.y
 
     def test_never_negative(self):
         traj = idc_trajectories(CFG, 3.0, preset_market("M3"), seed=2, n_paths=20,
@@ -100,11 +106,18 @@ class TestAccountShape:
                                       normals=bumped)[41][0]
         assert term1 > term0
 
+    def test_draw_shape_validated(self):
+        normals = normal_matrix(0, 3, CFG.n_steps)
+        with pytest.raises(ValueError, match="normals must have shape"):
+            idc_trajectories(CFG, 0.5, M1, n_paths=5, generations=(41,), normals=normals)
+        with pytest.raises(ValueError, match="normals must have shape"):
+            idc_terminal_benefits(CFG, 0.5, M1, n_paths=5, generations=(41,), normals=normals)
+
     def test_generation_window_validated(self):
         with pytest.raises(ValueError, match="generation"):
-            simulate_idc(39, CFG, 0.5, M1, RandomStream(0, 0))
+            single_account(39, 0.5, M1, RandomStream(0, 0))
         with pytest.raises(ValueError, match="generation"):
-            simulate_idc(101, CFG, 0.5, M1, RandomStream(0, 0))
+            single_account(101, 0.5, M1, RandomStream(0, 0))
 
 
 class TestPairedWithFund:

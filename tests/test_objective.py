@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcfund.fund import FundConfig, PolicyParams
+from cdcfund.fund import FundConfig, PolicyParams, SimulationBatch
 from cdcfund.market import preset_market
 from cdcfund.objective import (
     ObjectiveSpec,
     certainty_equivalent,
     certainty_equivalent_stderr,
     crra_utility,
-    discounted_utility_sum,
     evaluate_policy,
+    value_from_batch,
 )
 
 M1 = preset_market("M1")
@@ -41,25 +41,35 @@ class TestCrraUtility:
         assert np.allclose(out, [-1.0, -0.5])
 
 
+def one_path_eu(payments, beta: float, gamma: float) -> float:
+    """Expected utility that ``value_from_batch`` gives a one-path batch paying
+    ``payments[t-1]`` at year ``t``."""
+    batch = SimulationBatch(
+        payments=np.asarray(payments, dtype=float)[None, :], bankrupt_at=np.array([np.nan]),
+        horizon=len(payments), steps_per_year=12, solvency_margin=1.0,
+    )
+    return value_from_batch(batch, FundConfig(beta=beta, gamma=gamma)).eu
+
+
 class TestDiscountedUtilitySum:
     def test_unit_payments_log_utility(self):
-        assert discounted_utility_sum(np.ones(100), 0.98, 1.0) == 0.0
+        assert one_path_eu(np.ones(100), 0.98, 1.0) == 0.0
 
     def test_single_nonunit_payment(self):
         payments = np.ones(100)
         payments[0] = math.e
-        assert discounted_utility_sum(payments, 0.98, 1.0) == pytest.approx(0.98, rel=1e-12)
+        assert one_path_eu(payments, 0.98, 1.0) == pytest.approx(0.98, rel=1e-12)
 
     def test_constant_stream_geometric_sum(self):
         c = 5.0
         beta = 0.98
         expected = (-1.0 / c) * beta * (1 - beta**100) / (1 - beta)
-        got = discounted_utility_sum(np.full(100, c), beta, 2.0)
+        got = one_path_eu(np.full(100, c), beta, 2.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_propagates_domain_error(self):
         with pytest.raises(ValueError):
-            discounted_utility_sum(np.array([1.0, 0.0]), 0.98, 2.0)
+            one_path_eu(np.array([1.0, 0.0]), 0.98, 2.0)
 
 
 class TestCertaintyEquivalent:
@@ -96,7 +106,7 @@ class TestEvaluatePolicy:
         spec = ObjectiveSpec(cfg=cfg, mkt=M1, n_paths=8, seed=0)
         value = evaluate_policy(PolicyParams(pi=0.0, theta=0.0), spec)
         steady = sum(math.exp(0.02 * k) for k in range(1, 41))
-        eu = discounted_utility_sum(np.full(100, steady), cfg.beta, cfg.gamma)
+        eu = crra_utility(steady, cfg.gamma) * sum(cfg.beta**t for t in range(1, 101))
         assert not value.any_bankruptcy
         assert value.eu == pytest.approx(eu, rel=1e-9)
         assert value.ce == pytest.approx(certainty_equivalent(eu, cfg.gamma), rel=1e-9)
