@@ -151,6 +151,8 @@ def entry_cohort_account(i: int, cfg: FundConfig, r: float) -> float:
 def _draw_matrix(cfg: FundConfig, seed: int, n_paths: int, normals: np.ndarray | None):
     """The given draw matrix, checked against ``(n_paths, n_steps)``, or the
     seed's matrix when none is given; the benchmark accounts share it."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     if normals is None:
         return normal_matrix(seed, n_paths, cfg.n_steps)
     if normals.shape != (n_paths, cfg.n_steps):
@@ -158,6 +160,15 @@ def _draw_matrix(cfg: FundConfig, seed: int, n_paths: int, normals: np.ndarray |
             f"normals must have shape ({n_paths}, {cfg.n_steps}), got {normals.shape}"
         )
     return normals
+
+
+def _store_year(record: np.ndarray, year: np.ndarray, first: int, dead) -> None:
+    """Copy a ``(steps, n_paths)`` year buffer into columns ``first...`` of the
+    row-major ``record`` in one block, after setting the ``dead`` paths (a
+    mask, or None) to NaN in the buffer."""
+    if dead is not None:
+        year[:, dead] = np.nan
+    record[:, first : first + len(year)] = year.T
 
 
 def simulate_batch(
@@ -177,13 +188,17 @@ def simulate_batch(
     Row ``p`` consumes the draws of ``RandomStream(seed, p)``. ``normals``
     may be passed to reuse a draw matrix across calls (common random
     numbers); otherwise it is generated (and cached) from ``seed``. Growth
-    factors are computed one year of draws at a time, which reads contiguous
-    memory when the draws are stored time-major as :func:`normal_matrix`
-    stores them.
+    factors are computed one year of draws at a time into one reused buffer,
+    which reads contiguous memory when the draws are stored time-major as
+    :func:`normal_matrix` stores them.
 
     Within a year all accounts share one accumulated crediting factor, so the
     per-generation accounts are materialized at year boundaries only; tracked
     generations additionally record every inner step of their working life.
+    All per-path state is laid out path-contiguous: accounts are
+    ``(n_generations, n_paths)``, and recordings are written one step per row
+    of a ``(steps_per_year, n_paths)`` buffer that is copied into the
+    row-major record once a year.
     """
     spy = cfg.steps_per_year
     n_steps = cfg.n_steps
@@ -199,11 +214,11 @@ def simulate_batch(
 
     entry = np.array([entry_cohort_account(i, cfg, mkt.r) for i in range(1, n + 1)])
     a0 = float(entry.sum())
-    # generation i lives in column i % n; the retiring generation's column is
+    # generation i lives in row i % n; the retiring generation's row is
     # reused by the generation that replaces it
-    accounts = np.empty((n_paths, n))
+    accounts = np.empty((n, n_paths))
     for i in range(1, n + 1):
-        accounts[:, i % n] = entry[i - 1]
+        accounts[i % n] = entry[i - 1]
 
     assets = np.full(n_paths, a0)
     liabilities = np.full(n_paths, a0)
@@ -212,73 +227,85 @@ def simulate_batch(
     bankrupt_at = np.full(n_paths, np.nan)
     payments = np.full((n_paths, cfg.horizon), np.nan)
 
-    ratios = None
+    # every record column is written: column 0 here, the rest a year at a time
+    ratios = ratio_year = None
     if record_funding_ratios:
-        ratios = np.full((n_paths, n_steps + 1), np.nan)
+        ratios = np.empty((n_paths, n_steps + 1))
         ratios[:, 0] = assets / liabilities
-    asset_rec = liab_rec = None
+        ratio_year = np.empty((spy, n_paths))
+    asset_rec = liab_rec = asset_year = liab_year = None
     if record_state:
-        asset_rec = np.full((n_paths, n_steps + 1), np.nan)
-        liab_rec = np.full((n_paths, n_steps + 1), np.nan)
+        asset_rec = np.empty((n_paths, n_steps + 1))
+        liab_rec = np.empty((n_paths, n_steps + 1))
         asset_rec[:, 0] = assets
         liab_rec[:, 0] = liabilities
+        asset_year = np.empty((spy, n_paths))
+        liab_year = np.empty((spy, n_paths))
 
     tracked_value = {i: np.zeros(n_paths) for i in tracked_generations}
-    trajectories = {i: np.full((n_paths, n * spy + 1), np.nan) for i in tracked_generations}
+    trajectories = {i: np.empty((n_paths, n * spy + 1)) for i in tracked_generations}
+    tracked_year = {i: np.empty((spy, n_paths)) for i in tracked_generations}
 
     # Dead paths are frozen at a finite state (asset = liability = 1) at every
     # year boundary: nothing recorded reads them, and keeping them finite
     # means the loop raises no floating-point event.
-    any_dead = False
+    dead = None  # mask of the dead paths, once there are any
     min_ratio = math.inf
     theta_dt = theta * dt
     mu_dt = mu_pi * dt
     credit = np.empty(n_paths)
+    benefit = np.zeros(n_paths)
+    flow = np.empty(n_paths)
+    ratio = np.empty(n_paths)
+    survived = np.empty(n_paths, dtype=bool)
+    growth = np.empty((spy, n_paths))
     for t in range(cfg.horizon + 1):
         # year-boundary jump: materialize the year's crediting, pay the
         # retiree, admit the newcomer, collect contributions
-        accounts *= cum_credit[:, None]
+        accounts *= cum_credit
         cum_credit[:] = 1.0
         if t >= 1:
-            col = t % n
-            benefit = accounts[:, col].copy()
-            accounts[:, col] = 0.0
-        else:
-            benefit = np.zeros(n_paths)
+            row = accounts[t % n]
+            benefit[:] = row
+            row[:] = 0.0
         accounts += cfg.y
-        assets += n * cfg.y - benefit
-        liabilities += n * cfg.y - benefit
-        if not any_dead:
+        np.subtract(n * cfg.y, benefit, out=flow)
+        assets += flow
+        liabilities += flow
+        if dead is None:
             # once a path is dead the margin is the bankrupt fraction,
             # so the post-payout ratio is only needed while all live
-            min_ratio = min(min_ratio, float(np.min(assets / liabilities)))
-        survived = assets > 0.0
-        if not survived.all() or any_dead:
+            min_ratio = min(min_ratio, float(np.divide(assets, liabilities, out=ratio).min()))
+        np.greater(assets, 0.0, out=survived)
+        if dead is not None or not survived.all():
             bankrupt_at[alive & ~survived] = float(t)
             alive &= survived
-            any_dead = True
+            dead = ~alive
         if t >= 1:
-            if any_dead:
-                payments[alive, t - 1] = benefit[alive]
-            else:
-                payments[:, t - 1] = benefit
+            if dead is not None:
+                benefit[dead] = np.nan
+            payments[:, t - 1] = benefit
+        working = []  # tracked generations that work through year t
         for i in tracked_generations:
             birth = i - n
             if t == birth:
                 tracked_value[i][:] = cfg.y
-                trajectories[i][alive, 0] = cfg.y
+                trajectories[i][:, 0] = cfg.y
+                if dead is not None:
+                    trajectories[i][dead, 0] = np.nan
             elif birth < t < i:
                 tracked_value[i] += cfg.y
+            if birth <= t < i:
+                working.append((i, tracked_value[i], tracked_year[i]))
         if t == cfg.horizon:
             break
-        if any_dead:
-            dead = ~alive
+        if dead is not None:
             assets[dead] = 1.0
             liabilities[dead] = 1.0
 
         # this year's draws, one contiguous row of paths per step when the
         # draws are stored time-major
-        growth = growth_factors(mkt, policy.pi, dt, normals[:, t * spy : (t + 1) * spy].T)
+        growth_factors(mkt, policy.pi, dt, normals[:, t * spy : (t + 1) * spy].T, out=growth)
         for step in range(spy):
             np.divide(assets, liabilities, out=credit)
             np.log(credit, out=credit)
@@ -288,27 +315,24 @@ def simulate_batch(
             assets *= growth[step]
             liabilities *= credit
             cum_credit *= credit
-            sample = t * spy + step + 1
-            for i in tracked_generations:
-                local = sample - (i - n) * spy
-                if 0 < local <= n * spy:
-                    tracked_value[i] *= credit
-                    if any_dead:
-                        trajectories[i][alive, local] = tracked_value[i][alive]
-                    else:
-                        trajectories[i][:, local] = tracked_value[i]
-            if ratios is not None:
-                if any_dead:
-                    ratios[alive, sample] = (assets / liabilities)[alive]
-                else:
-                    np.divide(assets, liabilities, out=ratios[:, sample])
-            if asset_rec is not None:
-                if any_dead:
-                    asset_rec[alive, sample] = assets[alive]
-                    liab_rec[alive, sample] = liabilities[alive]
-                else:
-                    asset_rec[:, sample] = assets
-                    liab_rec[:, sample] = liabilities
+            for _, value, year in working:
+                value *= credit
+                year[step] = value
+            if ratio_year is not None:
+                np.divide(assets, liabilities, out=ratio_year[step])
+            if asset_year is not None:
+                asset_year[step] = assets
+                liab_year[step] = liabilities
+
+        # the year's recordings, NaN on paths dead before it began
+        first = t * spy + 1
+        for i, _, year in working:
+            _store_year(trajectories[i], year, first - (i - n) * spy, dead)
+        if ratio_year is not None:
+            _store_year(ratios, ratio_year, first, dead)
+        if asset_year is not None:
+            _store_year(asset_rec, asset_year, first, dead)
+            _store_year(liab_rec, liab_year, first, dead)
 
     n_dead = int(np.count_nonzero(~alive))
     return SimulationBatch(

@@ -30,20 +30,28 @@ def _simulate_window(generation, cfg, pi, mkt, normals) -> np.ndarray:
 
     Samples at year boundaries are taken before the contribution, matching
     the fund's tracked-account convention; the first sample is the opening
-    contribution and the last is the retirement benefit.
+    contribution and the last is the retirement benefit. As in the fund, each
+    year's growth factors and values are path-contiguous rows of reused
+    ``(steps_per_year, n_paths)`` buffers, and the values are copied into the
+    row-major result once a year.
     """
     spy = cfg.steps_per_year
     n = cfg.n_generations
     birth = generation - n
-    growth = growth_factors(mkt, pi, cfg.dt, normals[:, birth * spy : generation * spy])
     n_paths = normals.shape[0]
     values = np.empty((n_paths, n * spy + 1))
+    values[:, 0] = cfg.y
     account = np.full(n_paths, cfg.y)
-    values[:, 0] = account
-    for local in range(n * spy):
-        account = account * growth[:, local]
-        values[:, local + 1] = account
-        if (local + 1) % spy == 0 and local + 1 < n * spy:
+    growth = np.empty((spy, n_paths))
+    year = np.empty((spy, n_paths))
+    for k in range(n):
+        t = birth + k
+        growth_factors(mkt, pi, cfg.dt, normals[:, t * spy : (t + 1) * spy].T, out=growth)
+        for step in range(spy):
+            account *= growth[step]
+            year[step] = account
+        values[:, k * spy + 1 : (k + 1) * spy + 1] = year.T
+        if k + 1 < n:
             account += cfg.y
     return values
 

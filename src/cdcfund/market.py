@@ -39,10 +39,6 @@ class MarketParams:
         if not self.mu >= self.r >= 0.0:
             raise ValueError(f"expected mu >= r >= 0, got mu={self.mu}, r={self.r}")
 
-    def market_price_of_risk(self) -> float:
-        """Excess return per unit of volatility, (mu - r) / sigma."""
-        return (self.mu - self.r) / self.sigma
-
 
 MARKET_PRESETS: dict[str, MarketParams] = {
     "M1": MarketParams(mu=0.065, r=0.02, sigma=0.15),
@@ -70,6 +66,16 @@ def expected_log_return(mkt: MarketParams, pi: float) -> float:
     return pi * (mkt.mu - mkt.r) + mkt.r - 0.5 * pi * pi * mkt.sigma * mkt.sigma
 
 
+def _increment_coefficients(mkt: MarketParams, pi: float, dt: float) -> tuple[float, float]:
+    """Drift and draw coefficient of the one-step log-return; raises for
+    ``pi < 0`` or ``dt <= 0``."""
+    if pi < 0.0:
+        raise ValueError(f"short selling is not allowed: pi={pi}")
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return expected_log_return(mkt, pi) * dt, pi * mkt.sigma * math.sqrt(dt)
+
+
 def log_return_increment(mkt: MarketParams, pi: float, dt: float, z):
     """Exact log-return of a constant-mix portfolio over one step of length ``dt``.
 
@@ -80,16 +86,22 @@ def log_return_increment(mkt: MarketParams, pi: float, dt: float, z):
     Raises ValueError for ``pi < 0`` (short positions are not allowed) or
     non-positive ``dt``.
     """
-    if pi < 0.0:
-        raise ValueError(f"short selling is not allowed: pi={pi}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return expected_log_return(mkt, pi) * dt + pi * mkt.sigma * math.sqrt(dt) * z
+    drift, scale = _increment_coefficients(mkt, pi, dt)
+    return drift + scale * z
 
 
-def growth_factors(mkt: MarketParams, pi: float, dt: float, z: np.ndarray) -> np.ndarray:
-    """Per-step multiplicative growth factors exp(log-return) for draws ``z``."""
-    return np.exp(log_return_increment(mkt, pi, dt, z))
+def growth_factors(
+    mkt: MarketParams, pi: float, dt: float, z: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-step multiplicative growth factors exp(log-return) for draws ``z``.
+
+    With ``out`` the factors are computed in place in that array (of ``z``'s
+    shape), which is returned; the bits equal the allocating form's.
+    """
+    drift, scale = _increment_coefficients(mkt, pi, dt)
+    out = np.multiply(z, scale, out=out)
+    out += drift
+    return np.exp(out, out=out)
 
 
 class RandomStream:

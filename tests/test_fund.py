@@ -1,9 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcfund.fund import FundConfig, PolicyParams, entry_cohort_account, simulate_batch
+from cdcfund.idc import idc_terminal_benefits, idc_trajectories
 from cdcfund.market import RandomStream, normal_matrix, preset_market
 from reference_fund import (
     FundState,
@@ -17,6 +21,8 @@ from reference_fund import (
 
 M1 = preset_market("M1")
 CFG = FundConfig()
+RECORD_ALL = dict(record_funding_ratios=True, record_state=True, tracked_generations=(41, 70))
+PATH_ARRAYS = ("payments", "bankrupt_at", "funding_ratios", "assets", "liabilities")
 
 
 def risk_free_oracle(cfg: FundConfig, r: float):
@@ -283,6 +289,42 @@ class TestSimulateBatch:
             ) and (np.isnan(expected) or expected == batch.bankrupt_at[p])
             assert np.allclose(rec.payments, batch.payments[p], rtol=1e-9, equal_nan=True)
 
+    def test_recordings_match_single_path_through_bankruptcy(self):
+        # funding ratios and tracked accounts are NaN from the bankruptcy
+        # jump on, and equal the state machine's before it
+        policy = PolicyParams(pi=3.0, theta=0.0)
+        batch = simulate_batch(
+            CFG, policy, M1, seed=0, n_paths=30,
+            record_funding_ratios=True, tracked_generations=(41, 60),
+        )
+        assert batch.n_bankrupt > 0
+        for p in range(30):
+            rec = simulate_path(CFG, policy, M1, RandomStream(0, p), tracked_generations=(41, 60))
+            assert np.allclose(
+                rec.funding_ratios, batch.funding_ratios[p], rtol=1e-9, equal_nan=True
+            )
+            for i in (41, 60):
+                assert np.allclose(
+                    rec.account_trajectories[i],
+                    batch.account_trajectories[i][p],
+                    rtol=1e-9,
+                    equal_nan=True,
+                )
+
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n_paths: simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, n_paths=n_paths),
+            lambda n_paths: idc_terminal_benefits(CFG, 0.5, M1, n_paths=n_paths, generations=(41,)),
+            lambda n_paths: idc_trajectories(CFG, 0.5, M1, n_paths=n_paths, generations=(41,)),
+        ],
+        ids=["simulate_batch", "idc_terminal_benefits", "idc_trajectories"],
+    )
+    def test_rejects_path_count_below_one(self, run, n_paths):
+        with pytest.raises(ValueError, match="^n_paths"):
+            run(n_paths)
+
     def test_payments_absent_from_bankruptcy_on(self):
         policy = PolicyParams(pi=3.0, theta=0.0)
         batch = simulate_batch(CFG, policy, M1, seed=0, n_paths=50)
@@ -374,6 +416,73 @@ class TestSimulateBatch:
         payments, final_assets, _ = risk_free_oracle(CFG, M1.r)
         assert np.allclose(batch.payments, payments[None, :], rtol=1e-9)
         assert batch.assets[0, 0] == pytest.approx(1043.6835286407702, rel=1e-9)
+
+
+@functools.lru_cache(maxsize=2)
+def _full_run(pi: float, theta: float):
+    return simulate_batch(
+        CFG, PolicyParams(pi, theta), M1, n_paths=48, normals=normal_matrix(4, 48, CFG.n_steps),
+        **RECORD_ALL,
+    )
+
+
+class TestEngineLayout:
+    """Bit-level invariants of the memory layout of ``simulate_batch``."""
+
+    @pytest.mark.parametrize("pi, theta", [(0.865, 0.345), (3.0, 0.0)])
+    @given(bounds=st.tuples(st.integers(0, 48), st.integers(0, 48)).filter(lambda b: b[0] < b[1]))
+    @settings(max_examples=10, deadline=None)
+    def test_path_slice_reproduces_rows(self, pi, theta, bounds):
+        # every path runs on its own: the draws of paths a..b-1 alone give
+        # rows a..b-1 of the full run bit for bit, which path chunking needs
+        a, b = bounds
+        full = _full_run(pi, theta)
+        assert (full.n_bankrupt > 0) == (pi == 3.0)
+        part = simulate_batch(
+            CFG, PolicyParams(pi, theta), M1, n_paths=b - a,
+            normals=normal_matrix(4, 48, CFG.n_steps)[a:b], **RECORD_ALL,
+        )
+        for name in PATH_ARRAYS:
+            assert np.array_equal(getattr(part, name), getattr(full, name)[a:b], equal_nan=True)
+        for i in (41, 70):
+            assert np.array_equal(
+                part.account_trajectories[i], full.account_trajectories[i][a:b], equal_nan=True
+            )
+
+    @given(
+        pi=st.floats(0.0, 3.0),
+        theta=st.floats(0.0, 1.0),
+        market=st.sampled_from(["M1", "M2", "M3"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_recording_leaves_results_unchanged(self, pi, theta, market):
+        policy, mkt = PolicyParams(pi, theta), preset_market(market)
+        plain = simulate_batch(CFG, policy, mkt, seed=2, n_paths=8)
+        recorded = simulate_batch(CFG, policy, mkt, seed=2, n_paths=8, **RECORD_ALL)
+        assert np.array_equal(plain.payments, recorded.payments, equal_nan=True)
+        assert np.array_equal(plain.bankrupt_at, recorded.bankrupt_at, equal_nan=True)
+        assert plain.solvency_margin == recorded.solvency_margin
+
+    @pytest.mark.parametrize("pi, theta", [(0.865, 0.345), (3.0, 0.0)])
+    def test_results_c_contiguous_with_path_rows(self, pi, theta):
+        # analysis reduces the records along the path axis, and that sum
+        # depends on memory order
+        batch = _full_run(pi, theta)
+        n_paths, samples = 48, CFG.n_steps + 1
+        shapes = {
+            "payments": (n_paths, CFG.horizon),
+            "bankrupt_at": (n_paths,),
+            "funding_ratios": (n_paths, samples),
+            "assets": (n_paths, samples),
+            "liabilities": (n_paths, samples),
+        }
+        for name, shape in shapes.items():
+            array = getattr(batch, name)
+            assert array.shape == shape and array.flags.c_contiguous, name
+        for i in (41, 70):
+            array = batch.account_trajectories[i]
+            window = CFG.n_generations * CFG.steps_per_year + 1
+            assert array.shape == (n_paths, window) and array.flags.c_contiguous
 
 
 class TestFundConfigValidation:

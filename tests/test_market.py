@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcfund.market import (
     MARKET_PRESETS,
@@ -27,7 +29,7 @@ class TestPresets:
     def test_calibrations(self, name, mu, r, sigma, rho):
         mkt = preset_market(name)
         assert (mkt.mu, mkt.r, mkt.sigma) == (mu, r, sigma)
-        assert round(mkt.market_price_of_risk(), 3) == rho
+        assert round((mkt.mu - mkt.r) / mkt.sigma, 3) == rho
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown market preset"):
@@ -82,6 +84,30 @@ class TestLogReturnIncrement:
         path = np.cumprod(growth_factors(mkt, 0.0, 1 / 12, z))
         years = np.arange(1, 1201) / 12
         assert np.allclose(path, np.exp(mkt.r * years), rtol=1e-12)
+
+
+class TestGrowthFactors:
+    @given(
+        pi=st.floats(0.0, 3.0),
+        dt=st.sampled_from([1 / 52, 1 / 12, 1 / 4, 1.0]),
+        market=st.sampled_from(sorted(MARKET_PRESETS)),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_in_place_form_bit_identical(self, pi, dt, market):
+        # one year block of time-major draws, as the simulators pass it
+        mkt = preset_market(market)
+        z = normal_matrix(1, 64, 24)[:, 12:24].T
+        out = np.full(z.shape, np.nan)
+        assert growth_factors(mkt, pi, dt, z, out=out) is out
+        assert np.array_equal(out, np.exp(log_return_increment(mkt, pi, dt, z)))
+        assert np.array_equal(out, growth_factors(mkt, pi, dt, z))
+
+    def test_in_place_form_keeps_checks(self):
+        mkt, out = preset_market("M1"), np.empty(3)
+        with pytest.raises(ValueError, match="short selling"):
+            growth_factors(mkt, -0.1, 1 / 12, np.zeros(3), out=out)
+        with pytest.raises(ValueError, match="dt"):
+            growth_factors(mkt, 0.5, 0.0, np.zeros(3), out=out)
 
 
 class TestRandomStream:
