@@ -1,9 +1,9 @@
 """Welfare statistics over simulated batches.
 
 Path-smoothness (increment-ratio roughness), nearest-rank benefit quantiles,
-per-generation certainty equivalents, left-tail empirical CDFs and averaged
-funding-ratio trajectories. All reductions are pure functions over arrays;
-plan comparisons are paired (fund and benchmark share the same market draws).
+per-generation certainty equivalents and left-tail empirical CDFs. All
+reductions are pure functions over arrays; plan comparisons are paired (fund
+and benchmark share the same market draws).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "ir_roughness_batch",
     "benefit_quantile",
     "generation_ce",
-    "mean_funding_ratio_trajectory",
     "WelfareRow",
     "welfare_rows",
     "tail_cdf_points",
@@ -41,11 +40,9 @@ def ir_roughness_batch(paths: np.ndarray) -> np.ndarray:
     denom = np.abs(d1) + np.abs(d2)
     num = np.abs(d1 + d2)
     keep = denom > 0.0
-    with np.errstate(invalid="ignore"):
-        ratios = np.where(keep, num / np.where(keep, denom, 1.0), np.nan)
+    sums = np.divide(num, denom, out=np.zeros_like(num), where=keep).sum(axis=1)
     counts = keep.sum(axis=1)
-    sums = np.where(keep, ratios, 0.0).sum(axis=1)
-    out = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    out = np.divide(sums, counts, out=np.full(len(paths), np.nan), where=counts > 0)
     out[np.isnan(paths).any(axis=1)] = np.nan
     return out
 
@@ -88,18 +85,6 @@ def generation_ce(cdc_benefits, idc_benefits, gamma: float) -> tuple[float | Non
     return ce_cdc, ce_idc
 
 
-def mean_funding_ratio_trajectory(funding_ratios: np.ndarray) -> np.ndarray:
-    """Pointwise cross-path mean of recorded funding ratios (NaN-aware)."""
-    fr = np.asarray(funding_ratios, dtype=float)
-    if fr.ndim != 2:
-        raise ValueError(f"need (n_paths, n_samples) matrix, got shape {fr.shape}")
-    all_nan = np.isnan(fr).all(axis=0)
-    out = np.full(fr.shape[1], np.nan)
-    with np.errstate(invalid="ignore"):
-        out[~all_nan] = np.nanmean(fr[:, ~all_nan], axis=0)
-    return out
-
-
 @dataclass(frozen=True)
 class WelfareRow:
     """Per-generation, per-plan summary cell of the welfare table."""
@@ -109,7 +94,6 @@ class WelfareRow:
     median: float
     q01: float
     ce: float | None
-    n_unpaid: int
 
 
 def welfare_rows(
@@ -124,12 +108,11 @@ def welfare_rows(
         cdc = cdc_benefits_by_generation[i]
         idc = idc_benefits_by_generation[i]
         ce_cdc, ce_idc = generation_ce(cdc, idc, gamma)
-        n_unpaid = int(np.isnan(cdc).sum())
         rows.append(
-            WelfareRow(i, "CDC", benefit_quantile(cdc, 0.5), benefit_quantile(cdc, q), ce_cdc, n_unpaid)
+            WelfareRow(i, "CDC", benefit_quantile(cdc, 0.5), benefit_quantile(cdc, q), ce_cdc)
         )
         rows.append(
-            WelfareRow(i, "IDC", benefit_quantile(idc, 0.5), benefit_quantile(idc, q), ce_idc, 0)
+            WelfareRow(i, "IDC", benefit_quantile(idc, 0.5), benefit_quantile(idc, q), ce_idc)
         )
     return rows
 

@@ -24,7 +24,6 @@ import scipy
 from . import __version__
 from .analysis import (
     ir_roughness_batch,
-    mean_funding_ratio_trajectory,
     tail_cdf_points,
     welfare_rows,
 )
@@ -348,7 +347,7 @@ def _analysis_outputs(config: ExperimentConfig, policy: PolicyParams, outdir: Pa
          for plan, r in roughness.items()],
     )
 
-    mean_ratio = mean_funding_ratio_trajectory(batch.funding_ratios)
+    mean_ratio = batch.mean_funding_ratio
     spy = cfg.steps_per_year
     funding_path = outdir / "funding_ratio.csv"
     _write_csv(
@@ -386,8 +385,7 @@ def _trajectory_output(spec: ObjectiveSpec, policy: PolicyParams, outdir: Path) 
     n_paths = spec.n_paths
     batch = simulate_batch(
         cfg, policy, spec.mkt, seed=spec.seed, n_paths=n_paths,
-        record_funding_ratios=True, record_state=True,
-        tracked_generations=(TRACKED_GENERATION,),
+        record_state=True, tracked_generations=(TRACKED_GENERATION,),
     )
     idc_traj = idc_trajectories(
         cfg, policy.pi, spec.mkt, seed=spec.seed, n_paths=n_paths,
@@ -396,6 +394,7 @@ def _trajectory_output(spec: ObjectiveSpec, policy: PolicyParams, outdir: Path) 
     spy = cfg.steps_per_year
     birth_month = (TRACKED_GENERATION - cfg.n_generations) * spy
     life = cfg.n_generations * spy
+    ratios = batch.assets / batch.liabilities
 
     rows = []
     for p in range(n_paths):
@@ -406,7 +405,7 @@ def _trajectory_output(spec: ObjectiveSpec, policy: PolicyParams, outdir: Path) 
             b41 = None if b41 is not None and np.isnan(b41) else b41
             rows.append(
                 ("CDC", p, m, batch.assets[p, m], batch.liabilities[p, m],
-                 batch.funding_ratios[p, m], b41)
+                 ratios[p, m], b41)
             )
         for local in range(life + 1):
             rows.append(

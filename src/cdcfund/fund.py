@@ -107,7 +107,10 @@ class SimulationBatch:
     ``solvency_margin`` is negative exactly when some path went bankrupt:
     then it is minus the fraction of bankrupt paths, otherwise the smallest
     post-payout funding ratio over all paths and years. Optional fields are
-    None unless the corresponding recording was requested.
+    None unless the corresponding recording was requested:
+    ``mean_funding_ratio`` is the funding ratio at every step averaged over
+    the paths alive then (NaN once none is), and ``assets`` and
+    ``liabilities`` hold every path's state at every step (NaN on dead paths).
     """
 
     payments: np.ndarray
@@ -115,7 +118,7 @@ class SimulationBatch:
     horizon: int
     steps_per_year: int
     solvency_margin: float
-    funding_ratios: np.ndarray | None = None
+    mean_funding_ratio: np.ndarray | None = None
     assets: np.ndarray | None = None
     liabilities: np.ndarray | None = None
     account_trajectories: dict[int, np.ndarray] = field(default_factory=dict)
@@ -198,7 +201,9 @@ def simulate_batch(
     All per-path state is laid out path-contiguous: accounts are
     ``(n_generations, n_paths)``, and recordings are written one step per row
     of a ``(steps_per_year, n_paths)`` buffer that is copied into the
-    row-major record once a year.
+    row-major record once a year. The funding ratio is never stored per
+    path: ``record_funding_ratios`` sums each step's row of live paths once a
+    year into the mean.
     """
     spy = cfg.steps_per_year
     n_steps = cfg.n_steps
@@ -228,10 +233,10 @@ def simulate_batch(
     payments = np.full((n_paths, cfg.horizon), np.nan)
 
     # every record column is written: column 0 here, the rest a year at a time
-    ratios = ratio_year = None
+    mean_ratio = ratio_year = None
     if record_funding_ratios:
-        ratios = np.empty((n_paths, n_steps + 1))
-        ratios[:, 0] = assets / liabilities
+        mean_ratio = np.empty(n_steps + 1)
+        mean_ratio[0] = (assets / liabilities).sum() / n_paths
         ratio_year = np.empty((spy, n_paths))
     asset_rec = liab_rec = asset_year = liab_year = None
     if record_state:
@@ -329,7 +334,17 @@ def simulate_batch(
         for i, _, year in working:
             _store_year(trajectories[i], year, first - (i - n) * spy, dead)
         if ratio_year is not None:
-            _store_year(ratios, ratio_year, first, dead)
+            # each step's mean over the live paths: one contiguous row sum
+            # with the dead paths set to 0, or NaN when none is live
+            span = mean_ratio[first : first + spy]
+            n_live = int(np.count_nonzero(alive))
+            if n_live:
+                if dead is not None:
+                    ratio_year[:, dead] = 0.0
+                np.add.reduce(ratio_year, axis=1, out=span)
+                span /= n_live
+            else:
+                span[:] = np.nan
         if asset_year is not None:
             _store_year(asset_rec, asset_year, first, dead)
             _store_year(liab_rec, liab_year, first, dead)
@@ -341,7 +356,7 @@ def simulate_batch(
         horizon=cfg.horizon,
         steps_per_year=spy,
         solvency_margin=-n_dead / n_paths if n_dead else min_ratio,
-        funding_ratios=ratios,
+        mean_funding_ratio=mean_ratio,
         assets=asset_rec,
         liabilities=liab_rec,
         account_trajectories=trajectories,

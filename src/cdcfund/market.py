@@ -120,13 +120,11 @@ class RandomStream:
             raise ValueError(f"path_index must fit in 64 bits, got {path_index}")
         self.seed = seed
         self.path_index = path_index
-        self.draws_taken = 0
         key = np.array([seed, path_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normals(self, n: int) -> np.ndarray:
         """Draw the next ``n`` standard normals from the stream."""
-        self.draws_taken += n
         return self._gen.standard_normal(n)
 
     def generator(self) -> np.random.Generator:

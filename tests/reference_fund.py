@@ -5,7 +5,9 @@ The package simulates the fund in one vectorized engine,
 straightforward state machine the tests check that engine against: every
 account is a dictionary entry, every inner step and every year-boundary jump
 is its own function, and the declaration rate is recomputed from the state at
-each step.
+each step. It also holds :func:`mean_funding_ratio_trajectory`, the NaN-aware
+cross-path mean that the engine's streamed ``mean_funding_ratio`` is checked
+against.
 """
 
 from __future__ import annotations
@@ -184,3 +186,15 @@ def simulate_path(
         bankrupt_at=bankrupt_at,
         account_trajectories=trajectories,
     )
+
+
+def mean_funding_ratio_trajectory(funding_ratios: np.ndarray) -> np.ndarray:
+    """Pointwise cross-path mean of recorded funding ratios (NaN-aware)."""
+    fr = np.asarray(funding_ratios, dtype=float)
+    if fr.ndim != 2:
+        raise ValueError(f"need (n_paths, n_samples) matrix, got shape {fr.shape}")
+    all_nan = np.isnan(fr).all(axis=0)
+    out = np.full(fr.shape[1], np.nan)
+    with np.errstate(invalid="ignore"):
+        out[~all_nan] = np.nanmean(fr[:, ~all_nan], axis=0)
+    return out

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cdcfund.analysis import benefit_quantile, ir_roughness_batch, mean_funding_ratio_trajectory
+from cdcfund.analysis import benefit_quantile, ir_roughness_batch
 from cdcfund.bo import BoConfig, run_bo
 from cdcfund.cli import main as cli_main
 from cdcfund.fund import FundConfig, PolicyParams, entry_cohort_account, simulate_batch
@@ -250,7 +250,7 @@ class TestCriterion04FundingRatioBehavior:
                 BASE_CFG, PolicyParams(pi, theta), preset_market(market),
                 seed=0, n_paths=10_000, record_funding_ratios=True,
             )
-            mean = mean_funding_ratio_trajectory(batch.funding_ratios)
+            mean = batch.mean_funding_ratio
             spy = BASE_CFG.steps_per_year
             hump = mean[[y * spy for y in range(5, 21)]]
             ok = mean[0] == 1.0 and np.all(hump > 1.0) and 0.9 <= mean[-1] <= 1.3

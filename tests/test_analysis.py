@@ -9,7 +9,6 @@ from cdcfund.analysis import (
     benefit_quantile,
     generation_ce,
     ir_roughness_batch,
-    mean_funding_ratio_trajectory,
     tail_cdf_points,
     welfare_rows,
 )
@@ -141,7 +140,7 @@ class TestFundingRatioTrajectory:
             cfg, PolicyParams(0.5, 0.3), preset_market("M1"), seed=0, n_paths=20,
             record_funding_ratios=True,
         )
-        mean = mean_funding_ratio_trajectory(batch.funding_ratios)
+        mean = batch.mean_funding_ratio
         assert mean[0] == 1.0
         assert mean.shape == (121,)
 
@@ -151,7 +150,7 @@ class TestFundingRatioTrajectory:
             cfg, PolicyParams(0.0, 0.0), preset_market("M1"), seed=0, n_paths=3,
             record_funding_ratios=True,
         )
-        mean = mean_funding_ratio_trajectory(batch.funding_ratios)
+        mean = batch.mean_funding_ratio
         assert np.allclose(mean, 1.0, rtol=1e-12)
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from reference_fund import (
     declaration_rate,
     generation_indicator,
     initialize_fund,
+    mean_funding_ratio_trajectory,
     simulate_path,
     step_month,
     year_boundary_jump,
@@ -22,7 +24,7 @@ from reference_fund import (
 M1 = preset_market("M1")
 CFG = FundConfig()
 RECORD_ALL = dict(record_funding_ratios=True, record_state=True, tracked_generations=(41, 70))
-PATH_ARRAYS = ("payments", "bankrupt_at", "funding_ratios", "assets", "liabilities")
+PATH_ARRAYS = ("payments", "bankrupt_at", "assets", "liabilities")
 
 
 def risk_free_oracle(cfg: FundConfig, r: float):
@@ -262,14 +264,13 @@ class TestSimulateBatch:
         policy = PolicyParams(pi=0.865, theta=0.345)
         batch = simulate_batch(
             CFG, policy, M1, seed=7, n_paths=4,
-            record_funding_ratios=True, tracked_generations=(41,),
+            record_state=True, tracked_generations=(41,),
         )
+        ratios = batch.assets / batch.liabilities
         for p in range(4):
             rec = simulate_path(CFG, policy, M1, RandomStream(7, p), tracked_generations=(41,))
             assert np.allclose(rec.payments, batch.payments[p], rtol=1e-9, equal_nan=True)
-            assert np.allclose(
-                rec.funding_ratios, batch.funding_ratios[p], rtol=1e-9, equal_nan=True
-            )
+            assert np.allclose(rec.funding_ratios, ratios[p], rtol=1e-9, equal_nan=True)
             assert np.allclose(
                 rec.account_trajectories[41],
                 batch.account_trajectories[41][p],
@@ -295,14 +296,13 @@ class TestSimulateBatch:
         policy = PolicyParams(pi=3.0, theta=0.0)
         batch = simulate_batch(
             CFG, policy, M1, seed=0, n_paths=30,
-            record_funding_ratios=True, tracked_generations=(41, 60),
+            record_state=True, tracked_generations=(41, 60),
         )
         assert batch.n_bankrupt > 0
+        ratios = batch.assets / batch.liabilities
         for p in range(30):
             rec = simulate_path(CFG, policy, M1, RandomStream(0, p), tracked_generations=(41, 60))
-            assert np.allclose(
-                rec.funding_ratios, batch.funding_ratios[p], rtol=1e-9, equal_nan=True
-            )
+            assert np.allclose(rec.funding_ratios, ratios[p], rtol=1e-9, equal_nan=True)
             for i in (41, 60):
                 assert np.allclose(
                     rec.account_trajectories[i],
@@ -383,7 +383,7 @@ class TestSimulateBatch:
         a = simulate_batch(CFG, policy, M1, n_paths=40, normals=time_major, **kwargs)
         b = simulate_batch(CFG, policy, M1, n_paths=40, normals=row_major, **kwargs)
         assert (a.n_bankrupt > 0) == (pi == 3.0)
-        for name in ("payments", "bankrupt_at", "funding_ratios", "assets", "liabilities"):
+        for name in ("payments", "bankrupt_at", "mean_funding_ratio", "assets", "liabilities"):
             assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
         assert a.solvency_margin == b.solvency_margin
         for i in (41, 70):
@@ -407,8 +407,38 @@ class TestSimulateBatch:
                     )
                     n_bankrupt += batch.any_bankruptcy
                     live = np.isnan(batch.bankrupt_at)
-                    assert np.isfinite(batch.funding_ratios[live]).all()
+                    assert np.isfinite(batch.assets[live] / batch.liabilities[live]).all()
         assert n_bankrupt > 0
+
+    @pytest.mark.parametrize("n_paths", [2, 7, 2_000, 8_193])
+    @pytest.mark.parametrize("pi, theta", [(0.865, 0.345), (3.0, 0.0)])
+    def test_mean_funding_ratio_matches_oracle(self, pi, theta, n_paths):
+        # the streamed mean equals the NaN-aware mean of the per-path ratios
+        # of the same run bit for bit, on either side of the ufunc buffer size
+        batch = simulate_batch(
+            CFG, PolicyParams(pi, theta), M1, seed=1, n_paths=n_paths,
+            record_funding_ratios=True, record_state=True,
+        )
+        assert (batch.n_bankrupt > 0) == (pi == 3.0)
+        expected = mean_funding_ratio_trajectory(batch.assets / batch.liabilities)
+        assert batch.mean_funding_ratio.shape == (CFG.n_steps + 1,)
+        assert np.array_equal(batch.mean_funding_ratio, expected, equal_nan=True)
+
+    def test_mean_funding_ratio_is_nan_once_every_path_is_dead(self):
+        # both paths die, so the mean has months with no live path: NaN
+        # there, without a 0/0
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = simulate_batch(
+                CFG, PolicyParams(3.0, 0.0), M1, seed=0, n_paths=2,
+                record_funding_ratios=True, record_state=True,
+            )
+        assert batch.n_bankrupt == 2
+        expected = mean_funding_ratio_trajectory(batch.assets / batch.liabilities)
+        nan_months = np.isnan(batch.mean_funding_ratio)
+        assert 0 < nan_months.sum() < CFG.n_steps
+        assert nan_months[-1] and not nan_months[0]
+        assert np.array_equal(batch.mean_funding_ratio, expected, equal_nan=True)
 
     def test_risk_free_batch_matches_oracle(self):
         policy = PolicyParams(pi=0.0, theta=0.0)
@@ -465,14 +495,14 @@ class TestEngineLayout:
 
     @pytest.mark.parametrize("pi, theta", [(0.865, 0.345), (3.0, 0.0)])
     def test_results_c_contiguous_with_path_rows(self, pi, theta):
-        # analysis reduces the records along the path axis, and that sum
-        # depends on memory order
+        # each path's record is one contiguous row; the funding ratio is
+        # streamed as one mean per step
         batch = _full_run(pi, theta)
         n_paths, samples = 48, CFG.n_steps + 1
         shapes = {
             "payments": (n_paths, CFG.horizon),
             "bankrupt_at": (n_paths,),
-            "funding_ratios": (n_paths, samples),
+            "mean_funding_ratio": (samples,),
             "assets": (n_paths, samples),
             "liabilities": (n_paths, samples),
         }

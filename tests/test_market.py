@@ -121,12 +121,6 @@ class TestRandomStream:
         b = RandomStream(42, 1).normals(100)
         assert not np.array_equal(a, b)
 
-    def test_draw_counter(self):
-        s = RandomStream(0, 0)
-        s.normals(10)
-        s.normals(5)
-        assert s.draws_taken == 15
-
     def test_validates_range(self):
         with pytest.raises(ValueError):
             RandomStream(-1, 0)
