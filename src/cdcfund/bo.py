@@ -71,7 +71,8 @@ class BoConfig:
 
 @dataclass(frozen=True)
 class BoRecord:
-    """One evaluated candidate plus the incumbent after it."""
+    """One evaluated candidate plus the incumbent after it; the fields, in
+    order, are the columns of ``bo_trace.csv``."""
 
     iteration: int
     pi: float
@@ -79,8 +80,8 @@ class BoRecord:
     ce: float
     eu: float
     eu_stderr: float
-    any_bankruptcy: bool
     n_bankrupt: int
+    any_bankruptcy: bool
     solvency_margin: float
     incumbent_pi: float
     incumbent_theta: float
@@ -211,7 +212,12 @@ def _normalize(points: np.ndarray, bounds) -> np.ndarray:
 
 
 def run_bo(spec: ObjectiveSpec, bo_cfg: BoConfig) -> BoTrace:
-    """Run the optimization loop against the fund objective."""
+    """Run the optimization loop against the fund objective.
+
+    With common random numbers every candidate is scored on ``spec`` and its
+    draws; otherwise each evaluation scores on a spec of its own seed, whose
+    draws are freed when the evaluation ends.
+    """
 
     def evaluate(pi: float, theta: float, iteration: int) -> ObjectiveValue:
         eval_spec = spec
@@ -269,8 +275,8 @@ def optimize(evaluate, bo_cfg: BoConfig, bounds=OMEGA) -> BoTrace:
                 ce=val.ce,
                 eu=val.eu,
                 eu_stderr=val.eu_stderr,
-                any_bankruptcy=val.any_bankruptcy,
                 n_bankrupt=val.n_bankrupt,
+                any_bankruptcy=val.any_bankruptcy,
                 solvency_margin=val.solvency_margin,
                 incumbent_pi=float(points[inc_idx][0]),
                 incumbent_theta=float(points[inc_idx][1]),

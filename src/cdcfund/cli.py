@@ -27,7 +27,7 @@ from .analysis import (
     tail_cdf_points,
     welfare_rows,
 )
-from .bo import BoConfig, BoTrace, run_bo
+from .bo import BoConfig, BoRecord, BoTrace, run_bo
 from .fund import OMEGA, FundConfig, PolicyParams, simulate_batch
 from .idc import idc_terminal_benefits, idc_trajectories
 from .market import MarketParams, preset_market
@@ -246,11 +246,7 @@ def _sha256(path: Path) -> str:
 # stages
 # ---------------------------------------------------------------------------
 
-TRACE_HEADER = [
-    "iteration", "pi", "theta", "ce", "eu", "eu_stderr", "n_bankrupt",
-    "any_bankruptcy", "solvency_margin", "incumbent_pi", "incumbent_theta", "incumbent_ce",
-    "gp_length_scale", "gp_noise",
-]
+TRACE_HEADER = [f.name for f in fields(BoRecord)]
 GRID_HEADER = ["pi", "theta", "ce", "eu", "eu_stderr", "n_bankrupt"]
 TRAJECTORY_HEADER = ["account_kind", "path_id", "t_months", "A", "L", "funding_ratio", "B_41"]
 WELFARE_HEADER = ["generation", "plan", "median", "q01", "ce"]
@@ -313,17 +309,11 @@ def _analysis_outputs(config: ExperimentConfig, policy: PolicyParams, outdir: Pa
     cfg = spec.cfg
     generations = range(cfg.n_generations, cfg.horizon + 1)
     batch = simulate_batch(
-        cfg, policy, spec.mkt, seed=spec.seed, n_paths=spec.n_paths,
+        cfg, policy, spec.mkt, spec.normals,
         record_funding_ratios=True, tracked_generations=(TRACKED_GENERATION,),
     )
-    idc_terms = idc_terminal_benefits(
-        cfg, policy.pi, spec.mkt, seed=spec.seed, n_paths=spec.n_paths,
-        generations=generations,
-    )
-    idc_traj = idc_trajectories(
-        cfg, policy.pi, spec.mkt, seed=spec.seed, n_paths=spec.n_paths,
-        generations=(TRACKED_GENERATION,),
-    )
+    idc_terms = idc_terminal_benefits(cfg, policy.pi, spec.mkt, spec.normals, generations)
+    idc_traj = idc_trajectories(cfg, policy.pi, spec.mkt, spec.normals, (TRACKED_GENERATION,))
 
     cdc_by_gen = {i: batch.benefits(i) for i in generations}
     rows = welfare_rows(cdc_by_gen, idc_terms, cfg.gamma)
@@ -384,13 +374,10 @@ def _trajectory_output(spec: ObjectiveSpec, policy: PolicyParams, outdir: Path) 
     cfg = spec.cfg
     n_paths = spec.n_paths
     batch = simulate_batch(
-        cfg, policy, spec.mkt, seed=spec.seed, n_paths=n_paths,
+        cfg, policy, spec.mkt, spec.normals,
         record_state=True, tracked_generations=(TRACKED_GENERATION,),
     )
-    idc_traj = idc_trajectories(
-        cfg, policy.pi, spec.mkt, seed=spec.seed, n_paths=n_paths,
-        generations=(TRACKED_GENERATION,),
-    )
+    idc_traj = idc_trajectories(cfg, policy.pi, spec.mkt, spec.normals, (TRACKED_GENERATION,))
     spy = cfg.steps_per_year
     birth_month = (TRACKED_GENERATION - cfg.n_generations) * spy
     life = cfg.n_generations * spy

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import MarketParams, expected_log_return, growth_factors, normal_matrix
+from .market import MarketParams, expected_log_return, growth_factors
 
 __all__ = [
     "OMEGA",
@@ -151,18 +151,14 @@ def entry_cohort_account(i: int, cfg: FundConfig, r: float) -> float:
     return cfg.y * sum(math.exp(r * k) for k in range(1, n - i + 1))
 
 
-def _draw_matrix(cfg: FundConfig, seed: int, n_paths: int, normals: np.ndarray | None):
-    """The given draw matrix, checked against ``(n_paths, n_steps)``, or the
-    seed's matrix when none is given; the benchmark accounts share it."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
-    if normals is None:
-        return normal_matrix(seed, n_paths, cfg.n_steps)
-    if normals.shape != (n_paths, cfg.n_steps):
+def _path_count(cfg: FundConfig, normals: np.ndarray) -> int:
+    """Rows of a draw matrix, which must be ``(n_paths >= 1, cfg.n_steps)``;
+    the benchmark accounts check their draws the same way."""
+    if normals.ndim != 2 or normals.shape[0] < 1 or normals.shape[1] != cfg.n_steps:
         raise ValueError(
-            f"normals must have shape ({n_paths}, {cfg.n_steps}), got {normals.shape}"
+            f"normals must have shape (n_paths >= 1, {cfg.n_steps}), got {normals.shape}"
         )
-    return normals
+    return normals.shape[0]
 
 
 def _store_year(record: np.ndarray, year: np.ndarray, first: int, dead) -> None:
@@ -178,22 +174,21 @@ def simulate_batch(
     cfg: FundConfig,
     policy: PolicyParams,
     mkt: MarketParams,
-    seed: int = 0,
-    n_paths: int = 1,
+    normals: np.ndarray,
     *,
-    normals: np.ndarray | None = None,
     record_funding_ratios: bool = False,
     record_state: bool = False,
     tracked_generations: tuple[int, ...] = (),
 ) -> SimulationBatch:
-    """Simulate ``n_paths`` independent paths, vectorized across paths.
+    """Simulate one path per row of the ``(n_paths, n_steps)`` draw matrix
+    ``normals``, vectorized across paths.
 
-    Row ``p`` consumes the draws of ``RandomStream(seed, p)``. ``normals``
-    may be passed to reuse a draw matrix across calls (common random
-    numbers); otherwise it is generated (and cached) from ``seed``. Growth
-    factors are computed one year of draws at a time into one reused buffer,
-    which reads contiguous memory when the draws are stored time-major as
-    :func:`normal_matrix` stores them.
+    Path ``p`` consumes row ``p``, so the draws of
+    :func:`~cdcfund.market.normal_matrix` make path ``p`` run on
+    ``RandomStream(seed, p)``; policies scored on one matrix share their
+    draws (common random numbers). Growth factors are computed one year of
+    draws at a time into one reused buffer, which reads contiguous memory
+    when the draws are stored time-major as ``normal_matrix`` stores them.
 
     Within a year all accounts share one accumulated crediting factor, so the
     per-generation accounts are materialized at year boundaries only; tracked
@@ -211,7 +206,7 @@ def simulate_batch(
     for i in tracked_generations:
         if not n <= i <= cfg.horizon:
             raise ValueError(f"tracked generation must lie in {n}..{cfg.horizon}, got {i}")
-    normals = _draw_matrix(cfg, seed, n_paths, normals)
+    n_paths = _path_count(cfg, normals)
 
     mu_pi = expected_log_return(mkt, policy.pi)
     theta = policy.theta

@@ -84,30 +84,20 @@ def build_model(
     kernel: Matern52Kernel,
     noise_variance: float,
     prior_mean: float | None = None,
+    kernel_matrix: np.ndarray | None = None,
 ) -> GpModel:
     """Condition the prior on ``(X, f)`` with the given hyperparameters.
 
     The prior mean is the targets' mean unless ``prior_mean`` is given; far
-    from the data the posterior mean reverts to it. Raises
+    from the data the posterior mean reverts to it. ``kernel_matrix`` is the
+    noise-free ``kernel.matrix(X, X)`` when the caller already has it (the
+    noise levels of one length scale share it in :func:`fit`). Raises
     ``np.linalg.LinAlgError`` when the regularized kernel matrix is not
     positive definite (e.g. duplicated inputs with zero noise).
     """
-    X, f = _training_data(X, f)
-    return _condition(X, f, kernel, kernel.matrix(X, X), noise_variance, prior_mean)
-
-
-def _training_data(X, f) -> tuple[np.ndarray, np.ndarray]:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    f = np.asarray(f, dtype=float).ravel()
-    if f.shape[0] != X.shape[0] or X.shape[0] < 1:
-        raise ValueError(f"need matching inputs and targets, got {X.shape} vs {f.shape}")
-    return X, f
-
-
-def _condition(X, f, kernel, k_xx, noise_variance, prior_mean) -> GpModel:
-    """:func:`build_model` given the noise-free kernel matrix ``k_xx``."""
     from scipy.linalg import cho_solve  # deferred: commands that fit no GP skip it
 
+    X, f = _training_data(X, f)
     if noise_variance < 0:
         raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
     n = X.shape[0]
@@ -117,7 +107,7 @@ def _condition(X, f, kernel, k_xx, noise_variance, prior_mean) -> GpModel:
         scale = 1.0
     f_std = (f - mean) / scale
 
-    k_mat = k_xx.copy()
+    k_mat = kernel.matrix(X, X) if kernel_matrix is None else kernel_matrix.copy()
     k_mat[np.diag_indices_from(k_mat)] += noise_variance
     chol = np.linalg.cholesky(k_mat)
     alpha = cho_solve((chol, True), f_std, check_finite=False)
@@ -137,6 +127,14 @@ def _condition(X, f, kernel, k_xx, noise_variance, prior_mean) -> GpModel:
         _chol=chol,
         _alpha=alpha,
     )
+
+
+def _training_data(X, f) -> tuple[np.ndarray, np.ndarray]:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    f = np.asarray(f, dtype=float).ravel()
+    if f.shape[0] != X.shape[0] or X.shape[0] < 1:
+        raise ValueError(f"need matching inputs and targets, got {X.shape} vs {f.shape}")
+    return X, f
 
 
 def fit(
@@ -161,7 +159,7 @@ def fit(
         k_xx = kernel.of_distance(distances)
         for noise in noise_levels:
             try:
-                model = _condition(X, f, kernel, k_xx, float(noise), prior_mean)
+                model = build_model(X, f, kernel, float(noise), prior_mean, k_xx)
             except np.linalg.LinAlgError:
                 continue
             if best is None or model.log_marginal_likelihood > best.log_marginal_likelihood:

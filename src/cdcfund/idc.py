@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fund import FundConfig, _draw_matrix
+from .fund import FundConfig, _path_count
 from .market import MarketParams, growth_factors
 
 __all__ = ["idc_terminal_benefits", "idc_trajectories"]
@@ -60,22 +60,21 @@ def idc_terminal_benefits(
     cfg: FundConfig,
     pi: float,
     mkt: MarketParams,
-    seed: int = 0,
-    n_paths: int = 1,
+    normals: np.ndarray,
     generations: tuple[int, ...] | range = (),
-    *,
-    normals: np.ndarray | None = None,
 ) -> dict[int, np.ndarray]:
     """Terminal benefits per generation across paths, sharing the fund's draws.
 
-    Computed from annual cumulative market growth factors: the benefit of
-    generation ``i`` is ``y * sum_j C(i)/C(j)`` over its contribution years
-    ``j``, where ``C(t)`` is the cumulative growth from time 0 to year ``t``.
+    Row ``p`` of ``normals``, the ``(n_paths, n_steps)`` draw matrix that
+    :func:`~cdcfund.fund.simulate_batch` takes, drives path ``p``. Computed
+    from annual cumulative market growth factors: the benefit of generation
+    ``i`` is ``y * sum_j C(i)/C(j)`` over its contribution years ``j``, where
+    ``C(t)`` is the cumulative growth from time 0 to year ``t``.
     """
     generations = tuple(generations)
     for i in generations:
         _check_generation(i, cfg)
-    normals = _draw_matrix(cfg, seed, n_paths, normals)
+    n_paths = _path_count(cfg, normals)
     spy = cfg.steps_per_year
     # annual[t] is the market growth over year t+1, built one year of draws
     # at a time; rows are years, columns paths
@@ -98,19 +97,16 @@ def idc_trajectories(
     cfg: FundConfig,
     pi: float,
     mkt: MarketParams,
-    seed: int = 0,
-    n_paths: int = 1,
+    normals: np.ndarray,
     generations: tuple[int, ...] = (),
-    *,
-    normals: np.ndarray | None = None,
 ) -> dict[int, np.ndarray]:
     """Per-step account values of the given generations across paths.
 
-    Row ``p`` of each array runs on the draws of ``RandomStream(seed, p)``,
-    the market path of the paired fund simulation; the log market increments
+    Row ``p`` of each array runs on row ``p`` of ``normals``, the market
+    path of the fund simulation on the same matrix; the log market increments
     per step are bit-identical to the fund asset's.
     """
     for i in generations:
         _check_generation(i, cfg)
-    normals = _draw_matrix(cfg, seed, n_paths, normals)
+    _path_count(cfg, normals)
     return {i: _simulate_window(i, cfg, pi, mkt, normals) for i in generations}

@@ -132,11 +132,6 @@ class RandomStream:
         return self._gen
 
 
-# Small cache of draw matrices: optimizer loops re-evaluate many candidate
-# policies under common random numbers, i.e. the same (seed, n_paths, n_steps).
-_MATRIX_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-_MATRIX_CACHE_MAX = 4
-
 # paths generated per block before the block is transposed into place; one
 # block of monthly draws over 100 years (32 x 1200 x 8 bytes) fits in L2
 _PATH_BLOCK = 32
@@ -149,13 +144,14 @@ def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     so batched and single-path simulations consume bit-identical numbers.
     Storage is time-major: the result is the transpose of a C-contiguous
     ``(n_steps, n_paths)`` array, so the draws of one step across all paths
-    (``out[:, step]``) are contiguous. The returned array is cached and
-    read-only.
+    (``out[:, step]``) are contiguous. Every call generates a new read-only
+    array; callers that score many policies on the same draws keep it (an
+    :class:`~cdcfund.objective.ObjectiveSpec` owns its matrix).
     """
-    key = (seed, n_paths, n_steps)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     out = np.empty((n_steps, n_paths))
     # one Philox generator re-keyed to (seed, p) at counter 0 for each path
     # gives the same draws as a fresh RandomStream(seed, p)
@@ -173,8 +169,4 @@ def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
             gen.standard_normal(out=row)
         out[:, start : start + len(rows)] = rows.T
     out.setflags(write=False)
-    out = out.T
-    if len(_MATRIX_CACHE) >= _MATRIX_CACHE_MAX:
-        _MATRIX_CACHE.pop(next(iter(_MATRIX_CACHE)))
-    _MATRIX_CACHE[key] = out
-    return out
+    return out.T

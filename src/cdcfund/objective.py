@@ -9,11 +9,12 @@ bankruptcy in the batch zeroes the certainty equivalent (soft constraint).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fund import FundConfig, PolicyParams, SimulationBatch, simulate_batch
-from .market import MarketParams
+from .market import MarketParams, normal_matrix
 
 __all__ = [
     "ObjectiveSpec",
@@ -28,7 +29,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Monte Carlo setup for scoring policies: fund, market, batch size, seed."""
+    """Monte Carlo setup for scoring policies: fund, market, batch size, seed.
+
+    The spec owns its draws: :attr:`normals` is generated on first use and
+    kept for the spec's lifetime, so every policy scored on one spec runs on
+    the same market paths (common random numbers). A spec made with
+    ``dataclasses.replace`` starts without draws of its own.
+    """
 
     cfg: FundConfig
     mkt: MarketParams
@@ -40,6 +47,12 @@ class ObjectiveSpec:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """The read-only ``(n_paths, n_steps)`` draw matrix: row ``p`` is
+        stream ``(seed, p)``."""
+        return normal_matrix(self.seed, self.n_paths, self.cfg.n_steps)
 
 
 @dataclass(frozen=True)
@@ -132,5 +145,5 @@ def value_from_batch(batch: SimulationBatch, cfg: FundConfig) -> ObjectiveValue:
 
 def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue:
     """Monte Carlo estimate of the policy's certainty equivalent."""
-    batch = simulate_batch(spec.cfg, policy, spec.mkt, seed=spec.seed, n_paths=spec.n_paths)
+    batch = simulate_batch(spec.cfg, policy, spec.mkt, spec.normals)
     return value_from_batch(batch, spec.cfg)

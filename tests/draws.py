@@ -1,0 +1,35 @@
+"""Draw matrices shared by the tests.
+
+``draws(seed, n_paths)`` is the matrix that an ``ObjectiveSpec`` with that
+seed and batch size owns, for the default ``FundConfig``'s step count. The
+last few matrices are kept, so tests that score many policies on one seed
+generate its draws once; the matrices are read-only, so sharing them is safe.
+"""
+
+import functools
+import weakref
+
+from cdcfund.fund import FundConfig
+from cdcfund.market import normal_matrix
+
+N_STEPS = FundConfig().n_steps
+
+
+@functools.lru_cache(maxsize=4)
+def draws(seed: int, n_paths: int, n_steps: int = N_STEPS):
+    return normal_matrix(seed, n_paths, n_steps)
+
+
+def record_generated(monkeypatch) -> list:
+    """Weak references to every matrix generated from now on through
+    ``cdcfund.objective``'s binding of ``normal_matrix``, the one through
+    which an ``ObjectiveSpec`` gets its draws."""
+    made = []
+
+    def recording(*args):
+        out = normal_matrix(*args)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr("cdcfund.objective.normal_matrix", recording)
+    return made

@@ -28,6 +28,7 @@ from cdcfund.objective import (
     evaluate_policy,
     value_from_batch,
 )
+from draws import draws
 from reference_fund import initialize_fund, step_month, year_boundary_jump
 
 GAMMAS = (0.5, 1.0, 2.0, 3.0, 5.0, 10.0)
@@ -64,7 +65,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def _policy_values(market: str, pi: float, theta: float, n_paths: int, seed: int):
     """One batch per policy; scored for every gamma on shared draws."""
     batch = simulate_batch(
-        BASE_CFG, PolicyParams(pi, theta), preset_market(market), seed=seed, n_paths=n_paths
+        BASE_CFG, PolicyParams(pi, theta), preset_market(market), draws(seed, n_paths)
     )
     return {g: value_from_batch(batch, _CFG_BY_GAMMA[g]) for g in GAMMAS}
 
@@ -213,11 +214,11 @@ class TestCriterion03RoughnessReproduction:
         pi, theta = REFERENCE_POLICIES[(market, gamma)]
         mkt = preset_market(market)
         batch = simulate_batch(
-            BASE_CFG, PolicyParams(pi, theta), mkt, seed=0, n_paths=n_paths,
+            BASE_CFG, PolicyParams(pi, theta), mkt, draws(0, n_paths),
             tracked_generations=(41,),
         )
         cdc = float(np.nanmean(ir_roughness_batch(batch.account_trajectories[41])))
-        idc_traj = idc_trajectories(BASE_CFG, pi, mkt, seed=0, n_paths=n_paths, generations=(41,))
+        idc_traj = idc_trajectories(BASE_CFG, pi, mkt, draws(0, n_paths), generations=(41,))
         idc = float(np.nanmean(ir_roughness_batch(idc_traj[41])))
         return cdc, idc
 
@@ -248,7 +249,7 @@ class TestCriterion04FundingRatioBehavior:
             pi, theta = REFERENCE_POLICIES[(market, 3.0)]
             batch = simulate_batch(
                 BASE_CFG, PolicyParams(pi, theta), preset_market(market),
-                seed=0, n_paths=10_000, record_funding_ratios=True,
+                draws(0, 10_000), record_funding_ratios=True,
             )
             mean = batch.mean_funding_ratio
             spy = BASE_CFG.steps_per_year
@@ -266,9 +267,9 @@ class TestCriterion05TailProtection:
     def _per_generation(self, market, gamma, quantile):
         pi, theta = REFERENCE_POLICIES[(market, gamma)]
         mkt = preset_market(market)
-        batch = simulate_batch(BASE_CFG, PolicyParams(pi, theta), mkt, seed=0, n_paths=10_000)
+        batch = simulate_batch(BASE_CFG, PolicyParams(pi, theta), mkt, draws(0, 10_000))
         idc = idc_terminal_benefits(
-            BASE_CFG, pi, mkt, seed=0, n_paths=10_000, generations=self.GENERATIONS
+            BASE_CFG, pi, mkt, draws(0, 10_000), generations=self.GENERATIONS
         )
         cdc_q = [benefit_quantile(batch.benefits(i), quantile) for i in self.GENERATIONS]
         idc_q = [benefit_quantile(idc[i], quantile) for i in self.GENERATIONS]

@@ -13,7 +13,7 @@ from cdcfund.analysis import (
     welfare_rows,
 )
 from cdcfund.fund import FundConfig, PolicyParams, simulate_batch
-from cdcfund.market import preset_market
+from cdcfund.market import normal_matrix, preset_market
 
 
 def roughness(values) -> float:
@@ -137,8 +137,8 @@ class TestFundingRatioTrajectory:
     def test_starts_at_exactly_one(self):
         cfg = FundConfig(horizon=10)
         batch = simulate_batch(
-            cfg, PolicyParams(0.5, 0.3), preset_market("M1"), seed=0, n_paths=20,
-            record_funding_ratios=True,
+            cfg, PolicyParams(0.5, 0.3), preset_market("M1"),
+            normal_matrix(0, 20, cfg.n_steps), record_funding_ratios=True,
         )
         mean = batch.mean_funding_ratio
         assert mean[0] == 1.0
@@ -147,8 +147,8 @@ class TestFundingRatioTrajectory:
     def test_deterministic_fund_stays_at_one(self):
         cfg = FundConfig(horizon=15)
         batch = simulate_batch(
-            cfg, PolicyParams(0.0, 0.0), preset_market("M1"), seed=0, n_paths=3,
-            record_funding_ratios=True,
+            cfg, PolicyParams(0.0, 0.0), preset_market("M1"),
+            normal_matrix(0, 3, cfg.n_steps), record_funding_ratios=True,
         )
         mean = batch.mean_funding_ratio
         assert np.allclose(mean, 1.0, rtol=1e-12)

@@ -18,6 +18,7 @@ from cdcfund.fund import OMEGA, FundConfig, PolicyParams
 from cdcfund.gp import Matern52Kernel, build_model, fit
 from cdcfund.market import preset_market
 from cdcfund.objective import ObjectiveSpec, ObjectiveValue
+from draws import record_generated
 
 
 def synthetic_value(ce: float, margin: float | None = None) -> ObjectiveValue:
@@ -302,6 +303,19 @@ class TestRunBo:
         # same design points, different objective draws after the first record
         assert crn.records[1].pi == indep.records[1].pi
         assert crn.records[1].ce != indep.records[1].ce
+
+    def test_common_draws_generated_once(self, monkeypatch):
+        made = record_generated(monkeypatch)
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=45), mkt=preset_market("M1"), n_paths=20)
+        run_bo(spec, BoConfig(n_init=4, n_total=9, seed=0))
+        assert len(made) == 1 and made[0]() is spec.normals
+
+    def test_independent_draws_not_kept_after_the_run(self, monkeypatch):
+        made = record_generated(monkeypatch)
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=45), mkt=preset_market("M1"), n_paths=20)
+        run_bo(spec, BoConfig(n_init=4, n_total=9, seed=0, common_random_numbers=False))
+        assert len(made) == 9
+        assert all(ref() is None for ref in made)
 
     def test_independent_draws_do_not_repeat_across_runs(self, monkeypatch):
         # without common random numbers each evaluation draws from its own

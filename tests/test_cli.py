@@ -15,7 +15,6 @@ from cdcfund.cli import (
     FUNDING_HEADER,
     GRID_HEADER,
     ROUGHNESS_HEADER,
-    TRACE_HEADER,
     TRAJECTORY_HEADER,
     WELFARE_HEADER,
     ConfigError,
@@ -25,6 +24,7 @@ from cdcfund.cli import (
     run_grid_oracle,
 )
 from cdcfund.market import preset_market
+from draws import record_generated
 
 TINY = """
 {"market": "M1", "gamma": 3, "n_paths": 40, "horizon": 50,
@@ -117,6 +117,11 @@ class TestGridOracle:
         assert by_point[(3.0, 0.0)][2] == 0.0  # ce zeroed by bankruptcies
         assert by_point[(3.0, 0.0)][5] > 0  # bankruptcy count
 
+    def test_lattice_shares_one_draw_matrix(self, monkeypatch):
+        made = record_generated(monkeypatch)
+        run_grid_oracle(parse_config('{"n_paths": 20, "horizon": 30}'), 3)
+        assert len(made) == 1
+
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
             run_grid_oracle(parse_config(""), 1)
@@ -151,7 +156,11 @@ class TestCommands:
         out = tmp_path / "out"
         assert run_cli(["optimize", "--config", str(cfg_path), "--output-dir", str(out)]) == 0
         trace = (out / "bo_trace.csv").read_text().splitlines()
-        assert trace[0].split(",") == TRACE_HEADER
+        # the column list of the README's output schemas
+        assert trace[0] == (
+            "iteration,pi,theta,ce,eu,eu_stderr,n_bankrupt,any_bankruptcy,solvency_margin,"
+            "incumbent_pi,incumbent_theta,incumbent_ce,gp_length_scale,gp_noise"
+        )
         assert len(trace) == 1 + 9  # header + n_total rows
         summary = json.loads((out / "bo_summary.json").read_text())
         assert set(summary) == {"pi_star", "theta_star", "ce_star", "runner_up"}
@@ -222,6 +231,21 @@ class TestCommands:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["outputs"] == m2["outputs"]  # hashes of every artifact
         assert m1["config"] == m2["config"]
+
+    @pytest.mark.parametrize(
+        "command, generated",
+        [
+            (["analyze", "--pi", "0.6", "--theta", "0.3"], 1),
+            # the optimizer's draws and the trajectory dump's; analyze reuses the first
+            (["run-cell", "--paths", "2"], 2),
+        ],
+    )
+    def test_draws_generated_once_per_spec(self, tmp_path, monkeypatch, command, generated):
+        made = record_generated(monkeypatch)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(TINY)
+        assert run_cli([*command, "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 0
+        assert len(made) == generated
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

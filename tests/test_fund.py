@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cdcfund.fund import FundConfig, PolicyParams, entry_cohort_account, simulate_batch
 from cdcfund.idc import idc_terminal_benefits, idc_trajectories
 from cdcfund.market import RandomStream, normal_matrix, preset_market
+from draws import draws
 from reference_fund import (
     FundState,
     declaration_rate,
@@ -25,6 +26,11 @@ M1 = preset_market("M1")
 CFG = FundConfig()
 RECORD_ALL = dict(record_funding_ratios=True, record_state=True, tracked_generations=(41, 70))
 PATH_ARRAYS = ("payments", "bankrupt_at", "assets", "liabilities")
+SIMULATORS = {
+    "simulate_batch": lambda normals: simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, normals),
+    "idc_terminal_benefits": lambda normals: idc_terminal_benefits(CFG, 0.5, M1, normals, (41,)),
+    "idc_trajectories": lambda normals: idc_trajectories(CFG, 0.5, M1, normals, (41,)),
+}
 
 
 def risk_free_oracle(cfg: FundConfig, r: float):
@@ -263,7 +269,7 @@ class TestSimulateBatch:
     def test_matches_single_path(self):
         policy = PolicyParams(pi=0.865, theta=0.345)
         batch = simulate_batch(
-            CFG, policy, M1, seed=7, n_paths=4,
+            CFG, policy, M1, draws(7, 4),
             record_state=True, tracked_generations=(41,),
         )
         ratios = batch.assets / batch.liabilities
@@ -280,7 +286,7 @@ class TestSimulateBatch:
 
     def test_matches_single_path_through_bankruptcy(self):
         policy = PolicyParams(pi=3.0, theta=0.0)
-        batch = simulate_batch(CFG, policy, M1, seed=0, n_paths=30)
+        batch = simulate_batch(CFG, policy, M1, draws(0, 30))
         assert batch.n_bankrupt > 0
         for p in range(30):
             rec = simulate_path(CFG, policy, M1, RandomStream(0, p))
@@ -295,7 +301,7 @@ class TestSimulateBatch:
         # jump on, and equal the state machine's before it
         policy = PolicyParams(pi=3.0, theta=0.0)
         batch = simulate_batch(
-            CFG, policy, M1, seed=0, n_paths=30,
+            CFG, policy, M1, draws(0, 30),
             record_state=True, tracked_generations=(41, 60),
         )
         assert batch.n_bankrupt > 0
@@ -311,23 +317,31 @@ class TestSimulateBatch:
                     equal_nan=True,
                 )
 
-    @pytest.mark.parametrize("n_paths", [0, -3])
     @pytest.mark.parametrize(
-        "run",
+        "run, message",
         [
-            lambda n_paths: simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, n_paths=n_paths),
-            lambda n_paths: idc_terminal_benefits(CFG, 0.5, M1, n_paths=n_paths, generations=(41,)),
-            lambda n_paths: idc_trajectories(CFG, 0.5, M1, n_paths=n_paths, generations=(41,)),
+            pytest.param(
+                lambda n=n: normal_matrix(0, n, CFG.n_steps), "^n_paths", id=f"normal_matrix-{n}"
+            )
+            for n in (0, -3)
+        ]
+        + [
+            # no path, or other than the config's step count
+            pytest.param(
+                lambda run=run, shape=shape: run(np.zeros(shape)), "^normals must have shape",
+                id=f"{name}-{kind}",
+            )
+            for name, run in SIMULATORS.items()
+            for kind, shape in (("0", (0, CFG.n_steps)), ("steps", (3, CFG.n_steps - 12)))
         ],
-        ids=["simulate_batch", "idc_terminal_benefits", "idc_trajectories"],
     )
-    def test_rejects_path_count_below_one(self, run, n_paths):
-        with pytest.raises(ValueError, match="^n_paths"):
-            run(n_paths)
+    def test_rejects_path_count_below_one(self, run, message):
+        with pytest.raises(ValueError, match=message):
+            run()
 
     def test_payments_absent_from_bankruptcy_on(self):
         policy = PolicyParams(pi=3.0, theta=0.0)
-        batch = simulate_batch(CFG, policy, M1, seed=0, n_paths=50)
+        batch = simulate_batch(CFG, policy, M1, draws(0, 50))
         dead = np.flatnonzero(~np.isnan(batch.bankrupt_at))
         assert dead.size > 0
         for p in dead[:5]:
@@ -337,20 +351,20 @@ class TestSimulateBatch:
 
     def test_accounts_stay_nonnegative(self):
         policy = PolicyParams(pi=2.0, theta=0.9)
-        batch = simulate_batch(CFG, policy, preset_market("M3"), seed=5, n_paths=10,
+        batch = simulate_batch(CFG, policy, preset_market("M3"), draws(5, 10),
                                tracked_generations=(41,))
         traj = batch.account_trajectories[41]
         assert np.nanmin(traj) >= 0.0
 
     def test_rejects_bad_tracked_generation(self):
         with pytest.raises(ValueError, match="tracked generation"):
-            simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, n_paths=1, tracked_generations=(39,))
+            simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, draws(0, 1), tracked_generations=(39,))
 
     def test_solvency_margin_is_smallest_post_payout_ratio(self):
         # the state machine, driven by hand, gives the funding ratio right
         # after every year's payout; the margin is its minimum over paths
         policy = PolicyParams(pi=0.865, theta=0.345)
-        batch = simulate_batch(CFG, policy, M1, seed=7, n_paths=3)
+        batch = simulate_batch(CFG, policy, M1, draws(7, 3))
         assert batch.n_bankrupt == 0
         ratios = []
         for p in range(3):
@@ -367,7 +381,7 @@ class TestSimulateBatch:
 
     def test_solvency_margin_is_minus_bankrupt_fraction(self):
         policy = PolicyParams(pi=3.0, theta=0.0)
-        batch = simulate_batch(CFG, policy, M1, seed=0, n_paths=30)
+        batch = simulate_batch(CFG, policy, M1, draws(0, 30))
         assert 0 < batch.n_bankrupt < 30
         assert batch.solvency_margin == -batch.n_bankrupt / 30
 
@@ -380,8 +394,8 @@ class TestSimulateBatch:
         row_major = np.ascontiguousarray(time_major)
         assert row_major.flags.c_contiguous and not time_major.flags.c_contiguous
         kwargs = dict(record_funding_ratios=True, record_state=True, tracked_generations=(41, 70))
-        a = simulate_batch(CFG, policy, M1, n_paths=40, normals=time_major, **kwargs)
-        b = simulate_batch(CFG, policy, M1, n_paths=40, normals=row_major, **kwargs)
+        a = simulate_batch(CFG, policy, M1, time_major, **kwargs)
+        b = simulate_batch(CFG, policy, M1, row_major, **kwargs)
         assert (a.n_bankrupt > 0) == (pi == 3.0)
         for name in ("payments", "bankrupt_at", "mean_funding_ratio", "assets", "liabilities"):
             assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
@@ -401,7 +415,7 @@ class TestSimulateBatch:
             for pi in np.linspace(0.0, 3.0, 7):
                 for theta in np.linspace(0.0, 1.0, 5):
                     batch = simulate_batch(
-                        CFG, PolicyParams(pi=pi, theta=theta), mkt, seed=0, n_paths=64,
+                        CFG, PolicyParams(pi=pi, theta=theta), mkt, draws(0, 64),
                         record_funding_ratios=True, record_state=True,
                         tracked_generations=(41,),
                     )
@@ -416,7 +430,7 @@ class TestSimulateBatch:
         # the streamed mean equals the NaN-aware mean of the per-path ratios
         # of the same run bit for bit, on either side of the ufunc buffer size
         batch = simulate_batch(
-            CFG, PolicyParams(pi, theta), M1, seed=1, n_paths=n_paths,
+            CFG, PolicyParams(pi, theta), M1, draws(1, n_paths),
             record_funding_ratios=True, record_state=True,
         )
         assert (batch.n_bankrupt > 0) == (pi == 3.0)
@@ -430,7 +444,7 @@ class TestSimulateBatch:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error", RuntimeWarning)
             batch = simulate_batch(
-                CFG, PolicyParams(3.0, 0.0), M1, seed=0, n_paths=2,
+                CFG, PolicyParams(3.0, 0.0), M1, draws(0, 2),
                 record_funding_ratios=True, record_state=True,
             )
         assert batch.n_bankrupt == 2
@@ -442,7 +456,7 @@ class TestSimulateBatch:
 
     def test_risk_free_batch_matches_oracle(self):
         policy = PolicyParams(pi=0.0, theta=0.0)
-        batch = simulate_batch(CFG, policy, M1, seed=0, n_paths=3, record_state=True)
+        batch = simulate_batch(CFG, policy, M1, draws(0, 3), record_state=True)
         payments, final_assets, _ = risk_free_oracle(CFG, M1.r)
         assert np.allclose(batch.payments, payments[None, :], rtol=1e-9)
         assert batch.assets[0, 0] == pytest.approx(1043.6835286407702, rel=1e-9)
@@ -451,8 +465,7 @@ class TestSimulateBatch:
 @functools.lru_cache(maxsize=2)
 def _full_run(pi: float, theta: float):
     return simulate_batch(
-        CFG, PolicyParams(pi, theta), M1, n_paths=48, normals=normal_matrix(4, 48, CFG.n_steps),
-        **RECORD_ALL,
+        CFG, PolicyParams(pi, theta), M1, normal_matrix(4, 48, CFG.n_steps), **RECORD_ALL
     )
 
 
@@ -469,8 +482,8 @@ class TestEngineLayout:
         full = _full_run(pi, theta)
         assert (full.n_bankrupt > 0) == (pi == 3.0)
         part = simulate_batch(
-            CFG, PolicyParams(pi, theta), M1, n_paths=b - a,
-            normals=normal_matrix(4, 48, CFG.n_steps)[a:b], **RECORD_ALL,
+            CFG, PolicyParams(pi, theta), M1, normal_matrix(4, 48, CFG.n_steps)[a:b],
+            **RECORD_ALL,
         )
         for name in PATH_ARRAYS:
             assert np.array_equal(getattr(part, name), getattr(full, name)[a:b], equal_nan=True)
@@ -487,8 +500,8 @@ class TestEngineLayout:
     @settings(max_examples=20, deadline=None)
     def test_recording_leaves_results_unchanged(self, pi, theta, market):
         policy, mkt = PolicyParams(pi, theta), preset_market(market)
-        plain = simulate_batch(CFG, policy, mkt, seed=2, n_paths=8)
-        recorded = simulate_batch(CFG, policy, mkt, seed=2, n_paths=8, **RECORD_ALL)
+        plain = simulate_batch(CFG, policy, mkt, draws(2, 8))
+        recorded = simulate_batch(CFG, policy, mkt, draws(2, 8), **RECORD_ALL)
         assert np.array_equal(plain.payments, recorded.payments, equal_nan=True)
         assert np.array_equal(plain.bankrupt_at, recorded.bankrupt_at, equal_nan=True)
         assert plain.solvency_margin == recorded.solvency_margin

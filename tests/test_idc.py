@@ -6,6 +6,7 @@ import pytest
 from cdcfund.fund import FundConfig, PolicyParams, simulate_batch
 from cdcfund.idc import idc_terminal_benefits, idc_trajectories
 from cdcfund.market import MarketParams, RandomStream, growth_factors, normal_matrix, preset_market
+from draws import draws
 
 M1 = preset_market("M1")
 CFG = FundConfig()
@@ -30,7 +31,7 @@ class TestDeterministicOracles:
         assert values[-1] == pytest.approx(40.0, rel=1e-9)
 
     def test_batch_terminals_match_oracle(self):
-        out = idc_terminal_benefits(CFG, 0.0, M1, seed=0, n_paths=3, generations=(40, 70, 100))
+        out = idc_terminal_benefits(CFG, 0.0, M1, draws(0, 3), generations=(40, 70, 100))
         expected = sum(math.exp(0.02 * k) for k in range(1, 41))
         for i in (40, 70, 100):
             assert np.allclose(out[i], expected, rtol=1e-9)
@@ -47,7 +48,7 @@ class TestCommonRandomNumbers:
 
     def test_single_path_consumes_matrix_row(self):
         values = single_account(41, 0.5, M1, RandomStream(3, 1))
-        batch = idc_trajectories(CFG, 0.5, M1, seed=3, n_paths=2, generations=(41,))
+        batch = idc_trajectories(CFG, 0.5, M1, draws(3, 2), generations=(41,))
         assert np.array_equal(values, batch[41][1])
 
     @pytest.mark.parametrize("mkt, pi", [(M1, 0.37), (preset_market("M3"), 3.0)])
@@ -55,10 +56,10 @@ class TestCommonRandomNumbers:
         time_major = normal_matrix(8, 30, CFG.n_steps)
         row_major = np.ascontiguousarray(time_major)
         gens = tuple(range(40, 101, 6))
-        a = idc_terminal_benefits(CFG, pi, mkt, n_paths=30, generations=gens, normals=time_major)
-        b = idc_terminal_benefits(CFG, pi, mkt, n_paths=30, generations=gens, normals=row_major)
-        c = idc_trajectories(CFG, pi, mkt, n_paths=30, generations=(41,), normals=time_major)
-        d = idc_trajectories(CFG, pi, mkt, n_paths=30, generations=(41,), normals=row_major)
+        a = idc_terminal_benefits(CFG, pi, mkt, time_major, generations=gens)
+        b = idc_terminal_benefits(CFG, pi, mkt, row_major, generations=gens)
+        c = idc_trajectories(CFG, pi, mkt, time_major, generations=(41,))
+        d = idc_trajectories(CFG, pi, mkt, row_major, generations=(41,))
         for i in gens:
             assert np.array_equal(a[i], b[i])
         assert np.array_equal(c[41], d[41])
@@ -74,13 +75,13 @@ class TestCommonRandomNumbers:
         cum = np.concatenate([np.ones((20, 1)), np.cumprod(annual, axis=1)], axis=1)
         s = np.concatenate([np.zeros((20, 1)), np.cumsum(1.0 / cum, axis=1)], axis=1)
         expected = CFG.y * cum[:, 100] * (s[:, 100] - s[:, 60])
-        out = idc_terminal_benefits(CFG, pi, M1, n_paths=20, generations=(100,), normals=normals)
+        out = idc_terminal_benefits(CFG, pi, M1, normals, generations=(100,))
         assert np.array_equal(out[100], expected)
 
     def test_terminal_consistent_between_recursion_and_cumulative_form(self):
         gens = tuple(range(40, 101, 10))
-        closed = idc_terminal_benefits(CFG, 0.9, M1, seed=1, n_paths=5, generations=gens)
-        trajs = idc_trajectories(CFG, 0.9, M1, seed=1, n_paths=5, generations=gens)
+        closed = idc_terminal_benefits(CFG, 0.9, M1, draws(1, 5), generations=gens)
+        trajs = idc_trajectories(CFG, 0.9, M1, draws(1, 5), generations=gens)
         for i in gens:
             assert np.allclose(closed[i], trajs[i][:, -1], rtol=1e-9)
 
@@ -92,26 +93,24 @@ class TestAccountShape:
         assert values[0] == CFG.y
 
     def test_never_negative(self):
-        traj = idc_trajectories(CFG, 3.0, preset_market("M3"), seed=2, n_paths=20,
+        traj = idc_trajectories(CFG, 3.0, preset_market("M3"), draws(2, 20),
                                 generations=(41,))[41]
         assert traj.min() >= 0.0
 
     def test_terminal_monotone_in_each_draw(self):
         base = normal_matrix(5, 1, CFG.n_steps).copy()
-        term0 = idc_terminal_benefits(CFG, 0.8, M1, n_paths=1, generations=(41,),
-                                      normals=base)[41][0]
+        term0 = idc_terminal_benefits(CFG, 0.8, M1, base, generations=(41,))[41][0]
         bumped = base.copy()
         bumped[0, 200] += 0.5  # month inside generation 41's window
-        term1 = idc_terminal_benefits(CFG, 0.8, M1, n_paths=1, generations=(41,),
-                                      normals=bumped)[41][0]
+        term1 = idc_terminal_benefits(CFG, 0.8, M1, bumped, generations=(41,))[41][0]
         assert term1 > term0
 
     def test_draw_shape_validated(self):
-        normals = normal_matrix(0, 3, CFG.n_steps)
+        normals = normal_matrix(0, 3, CFG.n_steps - 1)
         with pytest.raises(ValueError, match="normals must have shape"):
-            idc_trajectories(CFG, 0.5, M1, n_paths=5, generations=(41,), normals=normals)
+            idc_trajectories(CFG, 0.5, M1, normals, generations=(41,))
         with pytest.raises(ValueError, match="normals must have shape"):
-            idc_terminal_benefits(CFG, 0.5, M1, n_paths=5, generations=(41,), normals=normals)
+            idc_terminal_benefits(CFG, 0.5, M1, normals, generations=(41,))
 
     def test_generation_window_validated(self):
         with pytest.raises(ValueError, match="generation"):
@@ -123,11 +122,11 @@ class TestAccountShape:
 class TestPairedWithFund:
     def test_same_seed_pairs_with_fund_batch(self):
         policy = PolicyParams(pi=0.865, theta=0.345)
-        batch = simulate_batch(CFG, policy, M1, seed=4, n_paths=6)
-        terms = idc_terminal_benefits(CFG, policy.pi, M1, seed=4, n_paths=6,
+        batch = simulate_batch(CFG, policy, M1, draws(4, 6))
+        terms = idc_terminal_benefits(CFG, policy.pi, M1, draws(4, 6),
                                       generations=(41,))
         # same draw matrix: both sides are deterministic in (seed, path)
-        again = idc_terminal_benefits(CFG, policy.pi, M1, seed=4, n_paths=6,
+        again = idc_terminal_benefits(CFG, policy.pi, M1, draws(4, 6),
                                       generations=(41,))
         assert np.array_equal(terms[41], again[41])
         assert batch.payments.shape == (6, 100)

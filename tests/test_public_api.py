@@ -9,6 +9,7 @@ only for the tests: each is used by the package or documented in the README.
 import importlib
 import inspect
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -54,18 +55,26 @@ def _public_names():
             yield path.stem, name
 
 
+def _code_names(path: Path):
+    """``(line, name)`` of every NAME token of a module: comments and strings,
+    docstrings and the ``__all__`` entries included, are not code."""
+    with path.open("rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type == tokenize.NAME:
+                yield tok.start[0], tok.string
+
+
 @pytest.mark.parametrize("module, name", list(_public_names()))
 def test_public_name_is_used_outside_tests(module, name):
-    """The name occurs in the package off its own definition line and its
-    ``__all__`` entry, or in the README; otherwise it is allow-listed."""
-    word = re.compile(rf"\b{re.escape(name)}\b")
+    """The name occurs as a code token in the package off its own definition
+    line, or in the README; otherwise it is allow-listed."""
     definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b|^{re.escape(name)}\s*[:=]")
     uses = 0
     for path in PACKAGE.glob("*.py"):
-        text = re.sub(r"^__all__ = \[.*?\]$", "", path.read_text(), flags=re.S | re.M)
-        lines = text.splitlines()
+        skip = set()
         if path.stem == module:
-            lines = [line for line in lines if not definition.match(line)]
-        uses += sum(len(word.findall(line)) for line in lines)
-    uses += len(word.findall(README.read_text()))
+            lines = path.read_text().splitlines()
+            skip = {k for k, line in enumerate(lines, 1) if definition.match(line)}
+        uses += sum(1 for k, token in _code_names(path) if token == name and k not in skip)
+    uses += len(re.findall(rf"\b{re.escape(name)}\b", README.read_text()))
     assert (uses > 0) != ((module, name) in TEST_ONLY), (module, name, uses)
