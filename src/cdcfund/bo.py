@@ -1,4 +1,4 @@
-"""Bayesian optimization of the fund's policy pair over the search box.
+"""Bayesian optimization of the fund's policy pair over the box ``OMEGA``.
 
 Latin hypercube initial design, then constrained Bayesian optimization on
 normalized inputs. One Gaussian process models the certainty equivalent of the
@@ -21,7 +21,7 @@ import numpy as np
 
 from .fund import OMEGA, PolicyParams
 from .gp import GpModel, fit, posterior
-from .market import RandomStream
+from .market import RandomStream, _check_integer, _check_uint64
 from .objective import ObjectiveSpec, ObjectiveValue, evaluate_policy
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
 _LHS_STREAM = 2**62
 _ACQ_STREAM = 2**62 + 1
 
+_BOX = np.asarray(OMEGA, dtype=float)  # row j: bounds of coordinate j
+
 
 @dataclass(frozen=True)
 class BoConfig:
@@ -57,6 +59,8 @@ class BoConfig:
     common_random_numbers: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("n_init", "n_total", "acquisition_budget"):
+            _check_integer(name, getattr(self, name))
         if self.n_init < 2:
             raise ValueError(f"n_init must be >= 2, got {self.n_init}")
         if self.n_total <= self.n_init:
@@ -65,8 +69,7 @@ class BoConfig:
             )
         if self.acquisition_budget < 1:
             raise ValueError(f"acquisition_budget must be >= 1, got {self.acquisition_budget}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        _check_uint64("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -105,17 +108,15 @@ class BoTrace:
         return sorted(self.records, key=lambda rec: rec.ce, reverse=True)[:k]
 
 
-def latin_hypercube(n: int, bounds, rng: np.random.Generator) -> np.ndarray:
-    """Latin hypercube design: per coordinate, one uniform draw in each of
-    ``n`` equal-width strata, with the strata independently permuted."""
+def latin_hypercube(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Latin hypercube design over ``OMEGA``: per coordinate, one uniform draw
+    in each of ``n`` equal-width strata, with the strata independently
+    permuted."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    bounds = np.asarray(bounds, dtype=float)
-    d = bounds.shape[0]
-    pts = np.empty((n, d))
-    for j in range(d):
+    pts = np.empty((n, len(OMEGA)))
+    for j, (lo, hi) in enumerate(OMEGA):
         strata = (rng.permutation(n) + rng.uniform(size=n)) / n
-        lo, hi = bounds[j]
         pts[:, j] = lo + strata * (hi - lo)
     return pts
 
@@ -154,61 +155,52 @@ def probability_of_solvency(margin_model: GpModel, x):
 
 def maximize_acquisition(
     model: GpModel | None,
+    margin_model: GpModel,
     f_star: float,
     budget: int,
     rng: np.random.Generator,
-    bounds=OMEGA,
-    margin_model: GpModel | None = None,
 ) -> np.ndarray:
     """Pick the next point: best acquisition over quasi-random candidates,
     sharpened by two rounds of shrinking boxes around the leader.
 
-    The acquisition is the expected improvement of ``model`` over ``f_star``,
-    times the probability of solvency under ``margin_model`` when one is
-    given. Candidates less likely solvent than not rank below all others, by
-    that probability, so that a surrogate that has run out of improvement
-    does not spend evaluations deep in the bankrupt region. Without a
-    ``model`` (no solvent evaluation yet) the acquisition is the probability
-    of solvency alone. Returns the winning point on the raw scale, clipped to
-    the search box.
+    The acquisition is the expected improvement of ``model`` over ``f_star``
+    times the probability of solvency under ``margin_model``. Candidates less
+    likely solvent than not rank below all others, by that probability, so
+    that a surrogate that has run out of improvement does not spend
+    evaluations deep in the bankrupt region. Without a ``model`` (no solvent
+    evaluation yet) the acquisition is the probability of solvency alone.
+    Returns the winning point on the raw scale, clipped to ``OMEGA``.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     from scipy.stats import qmc  # deferred: scipy.stats takes about a second to import
 
-    d = len(bounds)
+    d = len(OMEGA)
     # qmc needs a seed-sequence-backed rng; derive an integer seed instead
     qmc_seed = int(rng.integers(2**63))
     candidates = qmc.Halton(d=d, scramble=True, seed=qmc_seed).random(budget)
-    best_x, best_ei = _argmax_ei(model, f_star, candidates, margin_model)
+    best_x, best_acq = _argmax_acquisition(model, margin_model, f_star, candidates)
     for half_width in (0.1, 0.025):
         lo = np.clip(best_x - half_width, 0.0, 1.0)
         hi = np.clip(best_x + half_width, 0.0, 1.0)
         local = rng.uniform(lo, hi, size=(budget, d))
-        x, ei = _argmax_ei(model, f_star, local, margin_model)
-        if ei > best_ei:
-            best_x, best_ei = x, ei
-    bounds = np.asarray(bounds, dtype=float)
-    raw = bounds[:, 0] + best_x * (bounds[:, 1] - bounds[:, 0])
-    return np.clip(raw, bounds[:, 0], bounds[:, 1])
+        x, acq = _argmax_acquisition(model, margin_model, f_star, local)
+        if acq > best_acq:
+            best_x, best_acq = x, acq
+    raw = _BOX[:, 0] + best_x * (_BOX[:, 1] - _BOX[:, 0])
+    return np.clip(raw, _BOX[:, 0], _BOX[:, 1])
 
 
-def _argmax_ei(model, f_star, candidates, margin_model=None):
+def _argmax_acquisition(model, margin_model, f_star, candidates):
+    prob = probability_of_solvency(margin_model, candidates)
     if model is None:
-        acq = probability_of_solvency(margin_model, candidates)
+        acq = prob
     else:
-        acq = expected_improvement(model, candidates, f_star)
-        if margin_model is not None:
-            prob = probability_of_solvency(margin_model, candidates)
-            # P - 1 < 0 <= EI * P: likely-bankrupt candidates rank last
-            acq = np.where(prob >= 0.5, acq * prob, prob - 1.0)
+        # P - 1 < 0 <= EI * P: likely-bankrupt candidates rank last
+        acq = np.where(prob >= 0.5, expected_improvement(model, candidates, f_star) * prob,
+                       prob - 1.0)
     idx = int(np.argmax(acq))
     return candidates[idx], float(acq[idx])
-
-
-def _normalize(points: np.ndarray, bounds) -> np.ndarray:
-    bounds = np.asarray(bounds, dtype=float)
-    return (points - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
 
 
 def run_bo(spec: ObjectiveSpec, bo_cfg: BoConfig) -> BoTrace:
@@ -228,10 +220,10 @@ def run_bo(spec: ObjectiveSpec, bo_cfg: BoConfig) -> BoTrace:
             eval_spec = replace(spec, seed=int(child.generate_state(1, np.uint64)[0]))
         return evaluate_policy(PolicyParams(pi=pi, theta=theta), eval_spec)
 
-    return optimize(evaluate, bo_cfg, bounds=OMEGA)
+    return optimize(evaluate, bo_cfg)
 
 
-def optimize(evaluate, bo_cfg: BoConfig, bounds=OMEGA) -> BoTrace:
+def optimize(evaluate, bo_cfg: BoConfig) -> BoTrace:
     """Optimization loop over an arbitrary evaluator ``(pi, theta, k) -> ObjectiveValue``.
 
     The incumbent is the best solvent evaluation (the first evaluation until
@@ -244,7 +236,7 @@ def optimize(evaluate, bo_cfg: BoConfig, bounds=OMEGA) -> BoTrace:
     lhs_rng = RandomStream(bo_cfg.seed, _LHS_STREAM).generator()
     acq_rng = RandomStream(bo_cfg.seed, _ACQ_STREAM).generator()
 
-    design = latin_hypercube(bo_cfg.n_init, bounds, lhs_rng)
+    design = latin_hypercube(bo_cfg.n_init, lhs_rng)
     records: list[BoRecord] = []
     points: list[np.ndarray] = []
     values: list[float] = []
@@ -290,7 +282,7 @@ def optimize(evaluate, bo_cfg: BoConfig, bounds=OMEGA) -> BoTrace:
         record(k, design[k], evaluate(design[k][0], design[k][1], k), float("nan"), float("nan"))
 
     for k in range(bo_cfg.n_init, bo_cfg.n_total):
-        x_norm = _normalize(np.array(points), bounds)
+        x_norm = (np.array(points) - _BOX[:, 0]) / (_BOX[:, 1] - _BOX[:, 0])
         margin_model = fit(x_norm, np.array(margins))
         mask = np.array(solvent)
         model = None
@@ -300,8 +292,7 @@ def optimize(evaluate, bo_cfg: BoConfig, bounds=OMEGA) -> BoTrace:
             model = fit(x_norm[mask], solvent_ce, prior_mean=float(solvent_ce.min()))
             h, noise = model.kernel.length_scale, model.noise_variance
         nxt = maximize_acquisition(
-            model, values[inc_idx], bo_cfg.acquisition_budget, acq_rng, bounds=bounds,
-            margin_model=margin_model,
+            model, margin_model, values[inc_idx], bo_cfg.acquisition_budget, acq_rng
         )
         record(k, nxt, evaluate(nxt[0], nxt[1], k), h, noise)
 

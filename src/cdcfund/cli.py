@@ -198,9 +198,7 @@ def _effective_config(args) -> ExperimentConfig:
     if "resolution" in vars(args):
         _construct(lambda _: "--resolution", _lattice, args.resolution)
     cfg = config.spec.cfg
-    if args.command in TRACKING_COMMANDS and not (
-        cfg.n_generations <= TRACKED_GENERATION <= cfg.horizon
-    ):
+    if args.command in TRACKING_COMMANDS and TRACKED_GENERATION not in cfg.generations_in_window:
         key = "horizon" if cfg.horizon < TRACKED_GENERATION else "retirement_age"
         raise ConfigError(
             f"invalid value for {key!r}: {args.command} tracks generation "
@@ -307,7 +305,7 @@ def _optimize(config: ExperimentConfig, outdir: Path) -> dict:
 def _analysis_outputs(config: ExperimentConfig, policy: PolicyParams, outdir: Path) -> list[Path]:
     spec = config.spec
     cfg = spec.cfg
-    generations = range(cfg.n_generations, cfg.horizon + 1)
+    generations = cfg.generations_in_window
     batch = simulate_batch(
         cfg, policy, spec.mkt, spec.normals,
         record_funding_ratios=True, tracked_generations=(TRACKED_GENERATION,),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import MarketParams, expected_log_return, growth_factors
+from .market import MarketParams, _check_integer, expected_log_return, growth_factors
 
 __all__ = [
     "OMEGA",
@@ -50,6 +50,11 @@ class FundConfig:
     gamma: float = 3.0
 
     def __post_init__(self) -> None:
+        for name in ("y", "dt", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("entry_age", "retirement_age", "horizon"):
+            _check_integer(name, getattr(self, name))
         if self.y <= 0:
             raise ValueError(f"y must be positive, got {self.y}")
         if self.retirement_age < self.entry_age + 2:
@@ -62,7 +67,7 @@ class FundConfig:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if int(self.horizon) != self.horizon or self.horizon <= 0:
+        if self.horizon <= 0:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
         spy = 1.0 / self.dt if self.dt > 0 else float("nan")
         if not (self.dt > 0 and abs(spy - round(spy)) < 1e-9):
@@ -74,6 +79,12 @@ class FundConfig:
     def n_generations(self) -> int:
         """Number of working generations present at any time."""
         return self.retirement_age - self.entry_age
+
+    @property
+    def generations_in_window(self) -> range:
+        """Generations whose whole working life lies in the simulated window:
+        ``n_generations`` to ``horizon``."""
+        return range(self.n_generations, self.horizon + 1)
 
     @property
     def steps_per_year(self) -> int:
@@ -204,7 +215,7 @@ def simulate_batch(
     n_steps = cfg.n_steps
     n = cfg.n_generations
     for i in tracked_generations:
-        if not n <= i <= cfg.horizon:
+        if i not in cfg.generations_in_window:
             raise ValueError(f"tracked generation must lie in {n}..{cfg.horizon}, got {i}")
     n_paths = _path_count(cfg, normals)
 

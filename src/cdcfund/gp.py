@@ -1,9 +1,10 @@
 """Gaussian process regression with a Matern-5/2 kernel.
 
 Constant prior mean (the targets' mean unless given) on standardized
-targets, exact Cholesky-based posterior, and hyperparameter selection by
-maximizing the log marginal likelihood over a small grid of length scales and
-noise levels. Inputs are expected in the normalized unit square.
+targets, so the kernel's amplitude is 1; exact Cholesky-based posterior; and
+hyperparameter selection by maximizing the log marginal likelihood over the
+fixed grid ``DEFAULT_LENGTH_SCALES`` x ``DEFAULT_NOISE_LEVELS``. Inputs are
+expected in the normalized unit square.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ __all__ = [
     "build_model",
     "fit",
     "posterior",
-    "DEFAULT_LENGTH_SCALES",
-    "DEFAULT_NOISE_LEVELS",
 ]
 
 DEFAULT_LENGTH_SCALES = tuple(np.geomspace(0.05, 2.0, 12))
@@ -31,16 +30,14 @@ _SQRT5 = math.sqrt(5.0)
 
 @dataclass(frozen=True)
 class Matern52Kernel:
-    """Isotropic Matern-5/2 covariance with length scale ``h`` and amplitude."""
+    """Isotropic Matern-5/2 correlation with length scale ``h``: unit
+    amplitude, the variance of the standardized targets."""
 
     length_scale: float
-    signal_variance: float = 1.0
 
     def __post_init__(self) -> None:
         if self.length_scale <= 0:
             raise ValueError(f"length_scale must be positive, got {self.length_scale}")
-        if self.signal_variance <= 0:
-            raise ValueError(f"signal_variance must be positive, got {self.signal_variance}")
 
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Covariance matrix between rows of ``a`` (n, d) and ``b`` (m, d)."""
@@ -49,7 +46,7 @@ class Matern52Kernel:
     def of_distance(self, d: np.ndarray) -> np.ndarray:
         """Covariance at Euclidean distances ``d``."""
         u = _SQRT5 * d / self.length_scale
-        return self.signal_variance * (1.0 + u + u * u / 3.0) * np.exp(-u)
+        return (1.0 + u + u * u / 3.0) * np.exp(-u)
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,7 +65,6 @@ class GpModel:
     """
 
     train_inputs: np.ndarray
-    train_targets: np.ndarray
     kernel: Matern52Kernel
     noise_variance: float
     target_mean: float
@@ -118,7 +114,6 @@ def build_model(
     )
     return GpModel(
         train_inputs=X,
-        train_targets=f,
         kernel=kernel,
         noise_variance=noise_variance,
         target_mean=mean,
@@ -137,14 +132,9 @@ def _training_data(X, f) -> tuple[np.ndarray, np.ndarray]:
     return X, f
 
 
-def fit(
-    X: np.ndarray,
-    f: np.ndarray,
-    length_scales=DEFAULT_LENGTH_SCALES,
-    noise_levels=DEFAULT_NOISE_LEVELS,
-    prior_mean: float | None = None,
-) -> GpModel:
-    """Fit hyperparameters by exact log-marginal-likelihood grid search.
+def fit(X: np.ndarray, f: np.ndarray, prior_mean: float | None = None) -> GpModel:
+    """Fit hyperparameters by exact log-marginal-likelihood search over the
+    grid ``DEFAULT_LENGTH_SCALES`` x ``DEFAULT_NOISE_LEVELS``.
 
     Each candidate is the model :func:`build_model` gives, with
     ``prior_mean`` passed on; the noise levels of one length scale share its
@@ -154,10 +144,10 @@ def fit(
     X, f = _training_data(X, f)
     distances = _distances(X, X)
     best: GpModel | None = None
-    for h in length_scales:
+    for h in DEFAULT_LENGTH_SCALES:
         kernel = Matern52Kernel(float(h))
         k_xx = kernel.of_distance(distances)
-        for noise in noise_levels:
+        for noise in DEFAULT_NOISE_LEVELS:
             try:
                 model = build_model(X, f, kernel, float(noise), prior_mean, k_xx)
             except np.linalg.LinAlgError:
@@ -186,7 +176,7 @@ def posterior(model: GpModel, x) -> tuple:
     k_vec = model.kernel.matrix(model.train_inputs, q)  # (n, m)
     mean_std = k_vec.T @ model._alpha
     v = solve_triangular(model._chol, k_vec, lower=True, check_finite=False)
-    var = model.kernel.signal_variance - np.sum(v * v, axis=0)
+    var = 1.0 - np.sum(v * v, axis=0)
     var = np.maximum(var, 0.0)
     mean = model.target_mean + model.target_scale * mean_std
     std = model.target_scale * np.sqrt(var)

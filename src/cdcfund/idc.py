@@ -17,10 +17,9 @@ __all__ = ["idc_terminal_benefits", "idc_trajectories"]
 
 
 def _check_generation(generation: int, cfg: FundConfig) -> None:
-    n = cfg.n_generations
-    if not n <= generation <= cfg.horizon:
+    if generation not in cfg.generations_in_window:
         raise ValueError(
-            f"benchmark generation must lie in {n}..{cfg.horizon} "
+            f"benchmark generation must lie in {cfg.n_generations}..{cfg.horizon} "
             f"(working life inside the simulated window), got {generation}"
         )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,21 @@ __all__ = [
 ]
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise a ``ValueError`` that begins with ``name`` unless ``value`` is an
+    integer (not a bool, and not a float however integral)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_uint64(name: str, value) -> None:
+    """Raise a ``ValueError`` that begins with ``name`` unless ``value`` is an
+    integer that fits in 64 unsigned bits, as a seed or stream key must."""
+    _check_integer(name, value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must fit in 64 bits, got {value}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Constant-coefficient market with one risk-free and one risky asset.
@@ -32,6 +48,9 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self) -> None:
+        for name in ("mu", "r", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         # Boundary cases r == 0 and mu == r are tolerated for analytic checks;
@@ -114,10 +133,8 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, path_index: int = 0):
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {seed}")
-        if not 0 <= path_index < 2**64:
-            raise ValueError(f"path_index must fit in 64 bits, got {path_index}")
+        _check_uint64("seed", seed)
+        _check_uint64("path_index", path_index)
         self.seed = seed
         self.path_index = path_index
         key = np.array([seed, path_index], dtype=np.uint64)

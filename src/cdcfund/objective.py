@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .fund import FundConfig, PolicyParams, SimulationBatch, simulate_batch
-from .market import MarketParams, normal_matrix
+from .market import MarketParams, _check_integer, _check_uint64, normal_matrix
 
 __all__ = [
     "ObjectiveSpec",
@@ -43,10 +43,10 @@ class ObjectiveSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integer("n_paths", self.n_paths)
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        _check_uint64("seed", self.seed)
 
     @cached_property
     def normals(self) -> np.ndarray:

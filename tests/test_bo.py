@@ -13,9 +13,9 @@ from cdcfund.bo import (
     probability_of_solvency,
     run_bo,
 )
-from cdcfund.bo import _argmax_ei
-from cdcfund.fund import OMEGA, FundConfig, PolicyParams
-from cdcfund.gp import Matern52Kernel, build_model, fit
+from cdcfund.bo import _argmax_acquisition
+from cdcfund.fund import FundConfig, PolicyParams
+from cdcfund.gp import GpModel, Matern52Kernel, build_model, fit
 from cdcfund.market import preset_market
 from cdcfund.objective import ObjectiveSpec, ObjectiveValue
 from draws import record_generated
@@ -35,13 +35,13 @@ def synthetic_value(ce: float, margin: float | None = None) -> ObjectiveValue:
 class TestLatinHypercube:
     def test_single_point_inside_box(self):
         rng = np.random.default_rng(0)
-        pts = latin_hypercube(1, OMEGA, rng)
+        pts = latin_hypercube(1, rng)
         assert pts.shape == (1, 2)
         assert 0.0 <= pts[0, 0] <= 3.0 and 0.0 <= pts[0, 1] <= 1.0
 
     def test_stratification(self):
         rng = np.random.default_rng(1)
-        pts = latin_hypercube(10, OMEGA, rng)
+        pts = latin_hypercube(10, rng)
         # sorted first coordinate falls one per stratum of width 0.3
         strata = np.floor(np.sort(pts[:, 0]) / 0.3).astype(int)
         assert np.array_equal(strata, np.arange(10))
@@ -49,13 +49,13 @@ class TestLatinHypercube:
         assert np.array_equal(strata_theta, np.arange(10))
 
     def test_deterministic_given_seed(self):
-        a = latin_hypercube(10, OMEGA, np.random.default_rng(42))
-        b = latin_hypercube(10, OMEGA, np.random.default_rng(42))
+        a = latin_hypercube(10, np.random.default_rng(42))
+        b = latin_hypercube(10, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_rejects_empty_design(self):
         with pytest.raises(ValueError):
-            latin_hypercube(0, OMEGA, np.random.default_rng(0))
+            latin_hypercube(0, np.random.default_rng(0))
 
 
 class FixedPosteriorModel:
@@ -139,44 +139,72 @@ class TestProbabilityOfSolvency:
         prob = probability_of_solvency(margins, candidates)
         product = expected_improvement(model, candidates, 1.2) * prob
         assert prob[0] < 0.5 < prob[1] and product[0] > product[1]
-        best_x, _ = _argmax_ei(model, 1.2, candidates, margins)
+        best_x, _ = _argmax_acquisition(model, margins, 1.2, candidates)
         assert np.array_equal(best_x, candidates[1])
+
+
+def solvent_margins(X: np.ndarray) -> GpModel:
+    """A margin model of flat positive data: its posterior mean is 1 and its
+    deviation at most 1 everywhere, so ``P(margin > 0) >= 0.84``."""
+    return build_model(X, np.ones(len(X)), Matern52Kernel(0.5), 1e-6)
 
 
 class TestMaximizeAcquisition:
     def test_budget_one_is_legal(self):
-        model = build_model(
-            np.array([[0.5, 0.5], [0.2, 0.8]]), np.array([1.0, 2.0]), Matern52Kernel(0.5), 1e-6
+        X = np.array([[0.5, 0.5], [0.2, 0.8]])
+        model = build_model(X, np.array([1.0, 2.0]), Matern52Kernel(0.5), 1e-6)
+        pt = maximize_acquisition(
+            model, solvent_margins(X), f_star=2.0, budget=1, rng=np.random.default_rng(0)
         )
-        pt = maximize_acquisition(model, f_star=2.0, budget=1, rng=np.random.default_rng(0))
         assert pt.shape == (2,)
         assert 0.0 <= pt[0] <= 3.0 and 0.0 <= pt[1] <= 1.0
 
     def test_flat_training_data_still_explores(self):
         X = np.array([[0.5, 0.5], [0.25, 0.75]])
         model = build_model(X, np.array([1.0, 1.0]), Matern52Kernel(0.2), 1e-6)
-        pt = maximize_acquisition(model, f_star=1.0, budget=64, rng=np.random.default_rng(1))
+        pt = maximize_acquisition(
+            model, solvent_margins(X), f_star=1.0, budget=64, rng=np.random.default_rng(1)
+        )
         norm = pt / np.array([3.0, 1.0])
         ei = expected_improvement(model, norm, f_star=1.0)
         assert ei > 0.0
 
     def test_argmax_contract_on_candidate_set(self):
+        # the winner maximizes EI x P(margin > 0) over the candidates at least
+        # as likely solvent as not; here the overall maximum of EI x P lies
+        # among the others (the value rises towards the bankrupt left edge)
         rng = np.random.default_rng(3)
         X = rng.uniform(size=(10, 2))
-        model = build_model(X, rng.normal(size=10), Matern52Kernel(0.3), 1e-4)
+        f = 1.0 - X[:, 0] + 0.1 * rng.normal(size=10)
+        model = build_model(X, f, Matern52Kernel(0.3), 1e-4)
+        margins = build_model(X, X[:, 0] - 0.3, Matern52Kernel(0.3), 1e-4)
         candidates = rng.uniform(size=(200, 2))
-        best_x, best_ei = _argmax_ei(model, 0.5, candidates)
-        ei = expected_improvement(model, candidates, f_star=0.5)
-        assert best_ei == ei.max()
-        assert np.array_equal(best_x, candidates[np.argmax(ei)])
+        best_x, best_acq = _argmax_acquisition(model, margins, f.max(), candidates)
+        prob = probability_of_solvency(margins, candidates)
+        product = expected_improvement(model, candidates, f_star=f.max()) * prob
+        likely_solvent = prob >= 0.5
+        assert prob[np.argmax(product)] < 0.5
+        assert best_acq == product[likely_solvent].max()
+        assert np.array_equal(best_x, candidates[np.argmax(np.where(likely_solvent, product, -1))])
 
     def test_deterministic_given_rng_state(self):
-        model = build_model(
-            np.array([[0.1, 0.1], [0.9, 0.9]]), np.array([1.0, 3.0]), Matern52Kernel(0.4), 1e-6
-        )
-        a = maximize_acquisition(model, 3.0, 128, np.random.default_rng(7))
-        b = maximize_acquisition(model, 3.0, 128, np.random.default_rng(7))
+        X = np.array([[0.1, 0.1], [0.9, 0.9]])
+        model = build_model(X, np.array([1.0, 3.0]), Matern52Kernel(0.4), 1e-6)
+        margins = solvent_margins(X)
+        a = maximize_acquisition(model, margins, 3.0, 128, np.random.default_rng(7))
+        b = maximize_acquisition(model, margins, 3.0, 128, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+    def test_without_solvent_evaluation_maximizes_probability_of_solvency(self):
+        # no CE model yet: the acquisition is P(margin > 0) alone
+        X = np.array([[0.1, 0.5], [0.5, 0.5], [0.9, 0.5]])
+        margins = build_model(X, np.array([-0.9, -0.5, -0.1]), Matern52Kernel(0.3), 1e-2)
+        candidates = np.array([[0.2, 0.5], [0.95, 0.5], [0.5, 0.4], [0.05, 0.9]])
+        prob = probability_of_solvency(margins, candidates)
+        best_x, best_acq = _argmax_acquisition(None, margins, 0.0, candidates)
+        assert np.argmax(prob) == 1 and len(set(prob.tolist())) == len(prob)
+        assert np.array_equal(best_x, candidates[1])
+        assert best_acq == prob[1]
 
 
 class TestOptimizeLoop:
@@ -263,6 +291,26 @@ class TestOptimizeLoop:
         assert trace.incumbent.incumbent_ce == solvent_best
         assert trace.incumbent.incumbent_pi >= 1.5
 
+    def test_bankrupt_design_moves_to_first_solvent_evaluation(self):
+        # only the corner pi / 3 + theta > 1.6 is solvent; the design misses
+        # it, so the loop starts on the probability of solvency alone
+        def evaluate(pi, theta, k):
+            margin = pi / 3.0 + theta - 1.6
+            return synthetic_value(1.0 + pi / 3.0 + theta if margin > 0.0 else 0.0, margin)
+
+        n_init = 6
+        records = optimize(evaluate, BoConfig(n_init=n_init, n_total=20, seed=0)).records
+        assert len(records) == 20
+        assert all(r.any_bankruptcy for r in records[:n_init])
+        first = next(k for k, r in enumerate(records) if not r.any_bankruptcy)
+        assert first == n_init  # the first proposal, chosen by P(margin > 0) alone
+        for r in records[:first]:
+            assert (r.incumbent_pi, r.incumbent_theta) == (records[0].pi, records[0].theta)
+        inc = records[first]
+        assert (inc.incumbent_pi, inc.incumbent_theta, inc.incumbent_ce) == (
+            inc.pi, inc.theta, inc.ce
+        )
+
     @pytest.mark.parametrize("iteration", [3, 12])
     @pytest.mark.parametrize(
         "bad", [{"solvency_margin": float("nan")}, {"solvency_margin": float("inf")},
@@ -283,6 +331,12 @@ class TestOptimizeLoop:
             BoConfig(n_init=10, n_total=10)
         with pytest.raises(ValueError):
             BoConfig(acquisition_budget=0)
+        for field, value in (("n_init", 10.0), ("n_total", 100.5),
+                             ("acquisition_budget", 256.0), ("seed", 0.0)):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                BoConfig(**{field: value})
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits"):
+            BoConfig(seed=2**64)
 
 
 class TestRunBo:

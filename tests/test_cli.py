@@ -284,6 +284,31 @@ class TestCommands:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("document, key", [
+        ('{"gamma": NaN}', "'gamma'"),
+        ('{"market": {"mu": 0.065, "r": 0.02, "sigma": NaN}}', "'market'"),
+        ('{"gamma": Infinity}', "'gamma'"),
+        ('{"y": Infinity}', "'y'"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--pi", "0.5", "--theta", "0.2"],
+        ["run-cell"],
+    ])
+    def test_non_finite_config_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch, document, key, command
+    ):
+        # Python's json module reads NaN and Infinity
+        made = record_generated(monkeypatch)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(document)
+        out = tmp_path / "out"
+        assert run_cli([*command, "--config", str(cfg_path), "--output-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and key in captured.err
+        assert "finite" in captured.err
+        assert not made and not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["simulate", "--pi", "0.5", "--theta", "0.2"],
         ["analyze", "--pi", "0.5", "--theta", "0.2"],

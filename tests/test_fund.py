@@ -548,6 +548,24 @@ class TestFundConfigValidation:
         with pytest.raises(ValueError, match="retirement_age"):
             FundConfig(entry_age=64, retirement_age=65)  # one generation: 0/0 funding ratio
 
+    @pytest.mark.parametrize("field", ["y", "dt", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FundConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 100.0), ("entry_age", 25.5), ("retirement_age", 65.0), ("horizon", True),
+    ])
+    def test_non_integer_ages_and_horizon(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            FundConfig(**{field: value})
+
+    def test_generations_in_window(self):
+        assert CFG.generations_in_window == range(40, 101)
+        short = FundConfig(horizon=45, entry_age=30, retirement_age=40)
+        assert list(short.generations_in_window) == list(range(10, 46))
+
     def test_policy_box(self):
         with pytest.raises(ValueError, match="pi"):
             PolicyParams(pi=3.1, theta=0.5)

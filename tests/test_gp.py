@@ -14,7 +14,7 @@ from cdcfund.gp import (
 )
 
 
-def dense_posterior(X, f, h, noise, query, signal_variance=1.0):
+def dense_posterior(X, f, h, noise, query):
     """Independent brute-force posterior via a full linear solve.
 
     Standardizes targets the same way as the model under test, then applies
@@ -30,7 +30,7 @@ def dense_posterior(X, f, h, noise, query, signal_variance=1.0):
     def k(a, b):
         d = np.linalg.norm(np.asarray(a) - np.asarray(b))
         u = math.sqrt(5.0) * d / h
-        return signal_variance * (1 + u + u * u / 3.0) * math.exp(-u)
+        return (1 + u + u * u / 3.0) * math.exp(-u)
 
     n = X.shape[0]
     K = np.array([[k(X[i], X[j]) for j in range(n)] for i in range(n)])
@@ -38,15 +38,16 @@ def dense_posterior(X, f, h, noise, query, signal_variance=1.0):
     kvec = np.array([k(X[i], query) for i in range(n)])
     sol = np.linalg.solve(K, fs)
     m = float(kvec @ sol)
-    var = signal_variance - float(kvec @ np.linalg.solve(K, kvec))
+    var = 1.0 - float(kvec @ np.linalg.solve(K, kvec))
     return mean + scale * m, scale * math.sqrt(max(var, 0.0))
 
 
 class TestKernel:
     def test_self_covariance_is_signal_variance(self):
+        # targets are standardized: the signal variance is 1 at every length scale
         x = np.array([[0.3, 0.7]])
         assert Matern52Kernel(0.5).matrix(x, x)[0, 0] == 1.0
-        assert Matern52Kernel(0.5, signal_variance=2.5).matrix(x, x)[0, 0] == 2.5
+        assert Matern52Kernel(2.5).matrix(x, x)[0, 0] == 1.0
 
     def test_value_at_one_length_scale(self):
         # (1 + sqrt(5) + 5/3) * exp(-sqrt(5)), evaluated independently
@@ -67,8 +68,6 @@ class TestKernel:
     def test_validation(self):
         with pytest.raises(ValueError):
             Matern52Kernel(length_scale=0.0)
-        with pytest.raises(ValueError):
-            Matern52Kernel(length_scale=1.0, signal_variance=0.0)
 
 
 class TestBuildModel:
@@ -202,7 +201,7 @@ class TestFit:
         rng = np.random.default_rng(6)
         X = rng.uniform(size=(10, 2))
         f = 3 + np.cos(3 * X[:, 0]) * X[:, 1]
-        model = fit(X, f, noise_levels=(1e-6,))
+        model = fit(X, f)
         means, _ = posterior(model, X)
         assert np.allclose(means, f, atol=1e-4)
 
@@ -217,11 +216,12 @@ class TestFit:
         kept = build_model(X2, f2, first.kernel, first.noise_variance)
         assert refitted.log_marginal_likelihood >= kept.log_marginal_likelihood - 1e-9
 
-    def test_fit_failure_when_all_candidates_fail(self):
+    def test_fit_failure_when_all_candidates_fail(self, monkeypatch):
+        monkeypatch.setattr("cdcfund.gp.DEFAULT_NOISE_LEVELS", (0.0,))
         X = np.array([[0.5, 0.5], [0.5, 0.5]])
         f = np.array([1.0, 2.0])
         with pytest.raises(np.linalg.LinAlgError, match="no hyperparameter"):
-            fit(X, f, noise_levels=(0.0,))
+            fit(X, f)
 
     def test_single_observation_fit(self):
         model = fit(np.array([[0.5, 0.5]]), np.array([2.0]))

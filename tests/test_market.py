@@ -41,6 +41,13 @@ class TestPresets:
         with pytest.raises(ValueError, match="mu >= r"):
             MarketParams(mu=0.01, r=0.02, sigma=0.1)
 
+    @pytest.mark.parametrize("field", ["mu", "r", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params(self, field, value):
+        params = {"mu": 0.065, "r": 0.02, "sigma": 0.15, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            MarketParams(**params)
+
 
 class TestLogReturnIncrement:
     def test_riskless_is_exact(self):
@@ -126,6 +133,14 @@ class TestRandomStream:
             RandomStream(-1, 0)
         with pytest.raises(ValueError):
             RandomStream(0, 2**64)
+
+    def test_validates_integer_keys(self):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            RandomStream(1.5, 0)
+        with pytest.raises(ValueError, match="^path_index must be an integer"):
+            RandomStream(1, 2.0)
+        assert np.array_equal(RandomStream(np.uint64(3), np.int64(1)).normals(5),
+                              RandomStream(3, 1).normals(5))
 
     def test_matrix_rows_match_streams(self):
         mat = normal_matrix(9, 4, 50)

@@ -188,3 +188,12 @@ class TestEvaluatePolicy:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="n_paths"):
             ObjectiveSpec(cfg=FundConfig(), mkt=M1, n_paths=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", 1.0), ("n_paths", 10.0), ("seed", -1), ("seed", 2**64),
+    ])
+    def test_spec_rejects_non_integral_and_out_of_range_counts(self, field, value):
+        # a float seed would be truncated by the uint64 stream key: seed 1.5
+        # would run on seed 1's draws
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ObjectiveSpec(cfg=FundConfig(), mkt=M1, **{field: value})
