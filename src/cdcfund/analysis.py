@@ -23,6 +23,8 @@ __all__ = [
     "tail_cdf_points",
 ]
 
+_ROUGHNESS_BLOCK = 1024  # rows per block: bounds the temporaries of a long path matrix
+
 
 def ir_roughness_batch(paths: np.ndarray) -> np.ndarray:
     """Increment-ratio roughness of each row of a path matrix, in [0, 1].
@@ -35,15 +37,18 @@ def ir_roughness_batch(paths: np.ndarray) -> np.ndarray:
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] < 3:
         raise ValueError(f"need (n_paths, >=3) matrix, got shape {paths.shape}")
-    d = np.diff(paths, axis=1)
-    d1, d2 = d[:, :-1], d[:, 1:]
-    denom = np.abs(d1) + np.abs(d2)
-    num = np.abs(d1 + d2)
-    keep = denom > 0.0
-    sums = np.divide(num, denom, out=np.zeros_like(num), where=keep).sum(axis=1)
-    counts = keep.sum(axis=1)
-    out = np.divide(sums, counts, out=np.full(len(paths), np.nan), where=counts > 0)
-    out[np.isnan(paths).any(axis=1)] = np.nan
+    out = np.full(len(paths), np.nan)  # rows with a NaN or no pair left keep it
+    for start in range(0, len(paths), _ROUGHNESS_BLOCK):
+        rows = slice(start, start + _ROUGHNESS_BLOCK)
+        d = np.diff(paths[rows], axis=1)
+        d1, d2 = d[:, :-1], d[:, 1:]
+        denom = np.abs(d1) + np.abs(d2)
+        num = np.abs(d1 + d2)
+        keep = denom > 0.0
+        sums = np.divide(num, denom, out=np.zeros_like(num), where=keep).sum(axis=1)
+        counts = keep.sum(axis=1)
+        live = (counts > 0) & ~np.isnan(paths[rows]).any(axis=1)
+        np.divide(sums, counts, out=out[rows], where=live)
     return out
 
 

@@ -6,7 +6,7 @@ solvent evaluations, with its prior mean at the worst solvent value so that it
 extrapolates pessimistically; a second models the solvency margin of every
 evaluation, whose sign is the bankruptcy flag. The acquisition, expected
 improvement over the best solvent value times the probability of solvency
-``P(margin > 0)``, is maximized by quasi-random candidates with local
+``P(margin > 0)``, is maximized over Latin hypercube candidates with local
 refinement; candidates more likely bankrupt than solvent are proposed only
 when no other candidate is left. The welfare objective is evaluated
 sequentially.
@@ -114,11 +114,16 @@ def latin_hypercube(n: int, rng: np.random.Generator) -> np.ndarray:
     permuted."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    pts = np.empty((n, len(OMEGA)))
-    for j, (lo, hi) in enumerate(OMEGA):
-        strata = (rng.permutation(n) + rng.uniform(size=n)) / n
-        pts[:, j] = lo + strata * (hi - lo)
-    return pts
+    return _to_box(_unit_strata(n, rng))
+
+
+def _unit_strata(n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` Latin hypercube points of the unit square."""
+    return np.column_stack([(rng.permutation(n) + rng.uniform(size=n)) / n for _ in OMEGA])
+
+
+def _to_box(unit: np.ndarray) -> np.ndarray:
+    return _BOX[:, 0] + unit * (_BOX[:, 1] - _BOX[:, 0])
 
 
 def expected_improvement(model: GpModel, x, f_star: float):
@@ -129,9 +134,7 @@ def expected_improvement(model: GpModel, x, f_star: float):
     """
     from scipy.special import ndtr  # deferred: keeps `import cdcfund` light
 
-    mean, std = posterior(model, x)
-    mean = np.asarray(mean, dtype=float)
-    std = np.asarray(std, dtype=float)
+    mean, std = map(np.asarray, posterior(model, x))
     gap = mean - f_star
     safe_std = np.where(std > 1e-12, std, 1.0)
     zscore = gap / safe_std
@@ -145,9 +148,7 @@ def probability_of_solvency(margin_model: GpModel, x):
     an indicator where the posterior deviation vanishes."""
     from scipy.special import ndtr
 
-    mean, std = posterior(margin_model, x)
-    mean = np.asarray(mean, dtype=float)
-    std = np.asarray(std, dtype=float)
+    mean, std = map(np.asarray, posterior(margin_model, x))
     safe_std = np.where(std > 1e-12, std, 1.0)
     prob = np.where(std > 1e-12, ndtr(mean / safe_std), (mean > 0.0).astype(float))
     return float(prob) if prob.ndim == 0 else prob
@@ -160,8 +161,8 @@ def maximize_acquisition(
     budget: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Pick the next point: best acquisition over quasi-random candidates,
-    sharpened by two rounds of shrinking boxes around the leader.
+    """Pick the next point: best acquisition over ``budget`` Latin hypercube
+    candidates, sharpened by two rounds of shrinking boxes around the leader.
 
     The acquisition is the expected improvement of ``model`` over ``f_star``
     times the probability of solvency under ``margin_model``. Candidates less
@@ -173,22 +174,16 @@ def maximize_acquisition(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    from scipy.stats import qmc  # deferred: scipy.stats takes about a second to import
-
-    d = len(OMEGA)
-    # qmc needs a seed-sequence-backed rng; derive an integer seed instead
-    qmc_seed = int(rng.integers(2**63))
-    candidates = qmc.Halton(d=d, scramble=True, seed=qmc_seed).random(budget)
+    candidates = _unit_strata(budget, rng)
     best_x, best_acq = _argmax_acquisition(model, margin_model, f_star, candidates)
     for half_width in (0.1, 0.025):
         lo = np.clip(best_x - half_width, 0.0, 1.0)
         hi = np.clip(best_x + half_width, 0.0, 1.0)
-        local = rng.uniform(lo, hi, size=(budget, d))
+        local = rng.uniform(lo, hi, size=(budget, len(OMEGA)))
         x, acq = _argmax_acquisition(model, margin_model, f_star, local)
         if acq > best_acq:
             best_x, best_acq = x, acq
-    raw = _BOX[:, 0] + best_x * (_BOX[:, 1] - _BOX[:, 0])
-    return np.clip(raw, _BOX[:, 0], _BOX[:, 1])
+    return np.clip(_to_box(best_x), _BOX[:, 0], _BOX[:, 1])
 
 
 def _argmax_acquisition(model, margin_model, f_star, candidates):

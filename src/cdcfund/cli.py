@@ -22,11 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import (
-    ir_roughness_batch,
-    tail_cdf_points,
-    welfare_rows,
-)
+from .analysis import ir_roughness_batch, tail_cdf_points, welfare_rows
 from .bo import BoConfig, BoRecord, BoTrace, run_bo
 from .fund import OMEGA, FundConfig, PolicyParams, simulate_batch
 from .idc import idc_terminal_benefits, idc_trajectories
@@ -218,9 +214,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        if np.isnan(value):
-            return "nan"
-        return format(value, ".17g")
+        return format(value, ".17g")  # "nan" and "inf" included
     return str(value)
 
 
@@ -232,8 +226,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _json(payload, indent=None) -> str:
+    """Strict JSON (RFC 8259 has no NaN or infinity): non-finite floats become null."""
+    finite = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(finite, indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json(payload, indent=2) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -520,30 +520,30 @@ def main(argv=None) -> int:
 
     if args.command == "evaluate":
         value = evaluate_policy(PolicyParams(pi=args.pi, theta=args.theta), config.spec)
-        print(json.dumps({
+        print(_json({
             "pi": args.pi, "theta": args.theta, "ce": value.ce, "eu": value.eu,
             "eu_stderr": value.eu_stderr, "n_bankrupt": value.n_bankrupt,
             "any_bankruptcy": value.any_bankruptcy,
-        }, sort_keys=True))
+        }))
         return 0
 
+    if args.command == "run-cell":  # writes effective_config.json and hashes it
+        run_cell(config, outdir, trajectory_paths=args.paths)
+        return 0
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "effective_config.json", config.echo())
 
     if args.command == "optimize":
-        print(json.dumps(_optimize(config, outdir), sort_keys=True))
+        print(_json(_optimize(config, outdir)))
     elif args.command == "grid":
         rows, best = run_grid_oracle(config, args.resolution)
         _write_csv(outdir / "grid.csv", GRID_HEADER, rows)
-        print(json.dumps({"pi_star": best[0], "theta_star": best[1], "ce_star": best[2]},
-                         sort_keys=True))
+        print(_json({"pi_star": best[0], "theta_star": best[1], "ce_star": best[2]}))
     elif args.command == "simulate":
         _trajectory_output(replace(config.spec, n_paths=args.paths),
                            PolicyParams(pi=args.pi, theta=args.theta), outdir)
     elif args.command == "analyze":
         _analysis_outputs(config, PolicyParams(pi=args.pi, theta=args.theta), outdir)
-    elif args.command == "run-cell":
-        run_cell(config, outdir, trajectory_paths=args.paths)
     return 0
 
 

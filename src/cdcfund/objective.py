@@ -129,10 +129,8 @@ def value_from_batch(batch: SimulationBatch, cfg: FundConfig) -> ObjectiveValue:
     discounts = cfg.beta ** np.arange(1, batch.horizon + 1)
     per_path = crra_utility(batch.payments, cfg.gamma) @ discounts
     eu = float(per_path.mean())
-    if per_path.size > 1:
-        stderr = float(per_path.std(ddof=1) / np.sqrt(per_path.size))
-    else:
-        stderr = 0.0
+    n = per_path.size
+    stderr = float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return ObjectiveValue(
         ce=certainty_equivalent(eu, cfg.gamma),
         eu=eu,

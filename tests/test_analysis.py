@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,30 @@ class TestIrRoughness:
         paths = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 1.0, 2.0]])
         out = ir_roughness_batch(paths)
         assert out[0] == 1.0 and math.isnan(out[1])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocks_reproduce_a_single_pass(self, monkeypatch, order):
+        # rows are scored in blocks; each row's bits equal those of one pass
+        # over the whole matrix, NaN and all-flat rows included
+        rng = np.random.default_rng(2)
+        paths = rng.normal(size=(2_500, 40)).cumsum(axis=1)
+        paths[[3, 1_500], 7] = np.nan
+        paths[2_100] = 1.0
+        paths = np.asarray(paths, order=order)
+        blocked = ir_roughness_batch(paths)
+        monkeypatch.setattr("cdcfund.analysis._ROUGHNESS_BLOCK", len(paths))
+        assert np.array_equal(ir_roughness_batch(paths), blocked, equal_nan=True)
+
+    def test_temporaries_stay_below_the_input_size(self):
+        # a 10k-path tracked account of 481 samples, as `analyze` scores it
+        paths = np.random.default_rng(3).normal(size=(10_000, 481)).cumsum(axis=1)
+        tracemalloc.start()
+        try:
+            ir_roughness_batch(paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < paths.nbytes
 
 
 class TestBenefitQuantile:

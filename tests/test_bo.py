@@ -195,6 +195,31 @@ class TestMaximizeAcquisition:
         b = maximize_acquisition(model, margins, 3.0, 128, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
+    def test_candidates_are_latin_hypercube_strata(self, monkeypatch):
+        # the global candidates hold one point per stratum of each unit
+        # coordinate, and they bypass the public design function, whose
+        # output a profiler may record as evaluated points
+        from cdcfund import bo
+
+        seen = []
+
+        def spy(model, margin_model, f_star, candidates):
+            seen.append(candidates)
+            return argmax(model, margin_model, f_star, candidates)
+
+        def design(n, rng):
+            raise AssertionError("acquisition went through latin_hypercube")
+
+        argmax = bo._argmax_acquisition
+        monkeypatch.setattr(bo, "_argmax_acquisition", spy)
+        monkeypatch.setattr(bo, "latin_hypercube", design)
+        X = np.array([[0.1, 0.1], [0.9, 0.9]])
+        model = build_model(X, np.array([1.0, 3.0]), Matern52Kernel(0.4), 1e-6)
+        maximize_acquisition(model, solvent_margins(X), 3.0, 16, np.random.default_rng(5))
+        assert len(seen) == 3  # the global candidates, then two refinement rounds
+        for column in seen[0].T:
+            assert np.array_equal(np.floor(np.sort(column) * 16), np.arange(16))
+
     def test_without_solvent_evaluation_maximizes_probability_of_solvency(self):
         # no CE model yet: the acquisition is P(margin > 0) alone
         X = np.array([[0.1, 0.5], [0.5, 0.5], [0.9, 0.5]])

@@ -46,6 +46,29 @@ def test_cli_import_defers_scipy_stats_and_special():
     assert out.stdout.strip() == "[]"
 
 
+def test_optimize_leaves_scipy_stats_unimported(tmp_path):
+    # the optimizer draws its own candidates; no command pays for scipy.stats
+    (tmp_path / "cfg.json").write_text(TINY)
+    env = dict(os.environ, PYTHONPATH=str(Path(cdcfund.__file__).resolve().parents[1]))
+    code = (
+        "import sys, cdcfund.cli; "
+        "cdcfund.cli.main(['optimize', '--config', 'cfg.json', '--output-dir', 'out']); "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+def strict_json(text: str):
+    """Parse RFC 8259 JSON: NaN and infinities are rejected."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestParseConfig:
     def test_empty_document_gives_defaults(self):
         cfg = parse_config("")
@@ -142,6 +165,16 @@ class TestCommands:
             "pi", "theta", "ce", "eu", "eu_stderr", "n_bankrupt", "any_bankruptcy"
         }
         assert payload["ce"] > 0
+
+    def test_evaluate_prints_strict_json_when_bankrupt(self, tmp_path, capsys):
+        # a bankrupt policy has no expected utility: null, not NaN
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(TINY)
+        code = run_cli(["evaluate", "--config", str(cfg_path), "--pi", "3.0", "--theta", "0.0"])
+        assert code == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["any_bankruptcy"] and payload["ce"] == 0.0
+        assert payload["eu"] is None and payload["eu_stderr"] is None
 
     def test_invalid_config_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -321,6 +354,23 @@ class TestCommands:
         assert run_cli([*command, "--config", str(cfg_path), "--output-dir", str(out)]) == 2
         assert "'horizon'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_cell_writes_effective_config_once(self, tmp_path, monkeypatch):
+        from cdcfund import cli
+
+        written = []
+        real_write_json = cli._write_json
+
+        def write_json(path, payload):
+            written.append(path.name)
+            real_write_json(path, payload)
+
+        monkeypatch.setattr(cli, "_write_json", write_json)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(TINY)
+        assert run_cli(["run-cell", "--config", str(cfg_path), "--output-dir", str(tmp_path),
+                        "--paths", "2"]) == 0
+        assert written.count("effective_config.json") == 1
 
     def test_effective_config_round_trip(self, tmp_path):
         # feeding a run's effective config back as --config reproduces it

@@ -2,14 +2,18 @@
 
 Usage: ``python tools/digests.py [--src DIR]``
 
-Runs ``evaluate`` and ``simulate`` each at a solvent and at a bankrupt
-policy, a 3 x 3 ``grid``, ``analyze``, and ``run-cell --fast`` at seeds 1
-and 2, each in a fresh interpreter that imports ``cdcfund`` from ``DIR``
-(default: the ``src`` directory of the checkout holding this script), with
-outputs in a temporary directory. One ``sha256  run/file`` line is printed per file written
-and per non-empty stdout. ``manifest.json`` is hashed with its per-stage wall
-times removed, the only bytes that differ between identical runs. Comparing
-two checkouts is a ``diff`` of their outputs::
+Runs ``evaluate``, ``simulate`` and ``analyze`` each at a solvent and at a
+bankrupt policy, a 3 x 3 ``grid``, ``optimize --fast``, and ``run-cell
+--fast`` at seeds 1 and 2, each in a fresh interpreter that imports
+``cdcfund`` from ``DIR`` (default: the ``src`` directory of the checkout
+holding this script), with outputs in a temporary directory. One
+``sha256  run/file`` line is printed per file written and per non-empty
+stdout, and an ``invalid-json  run/file`` line after it for a stdout or
+``.json`` file that is not strict JSON (RFC 8259 has no ``NaN`` or
+``Infinity``).
+``manifest.json`` is hashed with its per-stage wall times removed, the only
+bytes that differ between identical runs. Comparing two checkouts is a
+``diff`` of their outputs::
 
     python tools/digests.py > new.txt
     python tools/digests.py --src ../parent/src > old.txt
@@ -38,6 +42,8 @@ RUNS = {
     "simulate-solvent": ["simulate", "--seed", "1", *SOLVENT, "--paths", "10"],
     "simulate-bankrupt": ["simulate", "--seed", "1", *BANKRUPT, "--paths", "10"],
     "analyze": ["analyze", "--seed", "1", "--fast", *SOLVENT],
+    "analyze-bankrupt": ["analyze", "--seed", "1", "--fast", *BANKRUPT],
+    "optimize": ["optimize", "--seed", "1", "--fast"],
     "run-cell-seed1": ["run-cell", "--seed", "1", "--fast"],
     "run-cell-seed2": ["run-cell", "--seed", "2", "--fast"],
 }
@@ -45,6 +51,19 @@ RUNS = {
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _strict_json_check(data: bytes, label: str) -> list[str]:
+    """``["invalid-json  label"]`` unless ``data`` parses as RFC 8259 JSON."""
+
+    def reject(constant):
+        raise ValueError(constant)
+
+    try:
+        json.loads(data, parse_constant=reject)
+    except ValueError:
+        return [f"invalid-json  {label}"]
+    return []
 
 
 def _file_digest(path: Path) -> str:
@@ -73,9 +92,12 @@ def digests(src: Path, workdir: Path) -> list[str]:
             )
         if proc.stdout:
             lines.append(f"{_sha256(proc.stdout)}  {name}/stdout")
+            lines += _strict_json_check(proc.stdout, f"{name}/stdout")
         if outdir.exists():
             for path in sorted(outdir.iterdir()):
                 lines.append(f"{_file_digest(path)}  {name}/{path.name}")
+                if path.suffix == ".json":
+                    lines += _strict_json_check(path.read_bytes(), f"{name}/{path.name}")
     return lines
 
 
