@@ -40,14 +40,15 @@ def ir_roughness_batch(paths: np.ndarray) -> np.ndarray:
     out = np.full(len(paths), np.nan)  # rows with a NaN or no pair left keep it
     for start in range(0, len(paths), _ROUGHNESS_BLOCK):
         rows = slice(start, start + _ROUGHNESS_BLOCK)
-        d = np.diff(paths[rows], axis=1)
+        block = np.ascontiguousarray(paths[rows])  # row sums in one order, whatever the layout
+        d = np.diff(block, axis=1)
         d1, d2 = d[:, :-1], d[:, 1:]
         denom = np.abs(d1) + np.abs(d2)
         num = np.abs(d1 + d2)
         keep = denom > 0.0
         sums = np.divide(num, denom, out=np.zeros_like(num), where=keep).sum(axis=1)
         counts = keep.sum(axis=1)
-        live = (counts > 0) & ~np.isnan(paths[rows]).any(axis=1)
+        live = (counts > 0) & ~np.isnan(block).any(axis=1)
         np.divide(sums, counts, out=out[rows], where=live)
     return out
 

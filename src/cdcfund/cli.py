@@ -27,7 +27,7 @@ from .bo import BoConfig, BoRecord, BoTrace, run_bo
 from .fund import OMEGA, FundConfig, PolicyParams, simulate_batch
 from .idc import idc_terminal_benefits, idc_trajectories
 from .market import MarketParams, preset_market
-from .objective import ObjectiveSpec, evaluate_policy
+from .objective import ObjectiveSpec, evaluate_policies, evaluate_policy
 
 __all__ = [
     "ConfigError",
@@ -277,15 +277,17 @@ def _lattice(resolution: int) -> list[PolicyParams]:
 
 
 def run_grid_oracle(config: ExperimentConfig, resolution: int):
-    """Evaluate the objective on a full lattice over the search box.
+    """Evaluate the objective on a full lattice over the search box, one
+    policy per worker process at a time (see ``evaluate_policies``).
 
     Returns (rows, argmax_row) where each row is (pi, theta, ce, eu,
     eu_stderr, n_bankrupt). The lattice includes the box corners.
     """
-    rows = []
-    for policy in _lattice(resolution):
-        val = evaluate_policy(policy, config.spec)
-        rows.append((policy.pi, policy.theta, val.ce, val.eu, val.eu_stderr, val.n_bankrupt))
+    lattice = _lattice(resolution)
+    rows = [
+        (policy.pi, policy.theta, val.ce, val.eu, val.eu_stderr, val.n_bankrupt)
+        for policy, val in zip(lattice, evaluate_policies(lattice, config.spec))
+    ]
     return rows, max(rows, key=lambda row: row[2])
 
 

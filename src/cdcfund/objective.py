@@ -8,6 +8,7 @@ bankruptcy in the batch zeroes the certainty equivalent (soft constraint).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,7 @@ __all__ = [
     "certainty_equivalent",
     "certainty_equivalent_stderr",
     "evaluate_policy",
+    "evaluate_policies",
     "value_from_batch",
 ]
 
@@ -145,3 +147,43 @@ def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue
     """Monte Carlo estimate of the policy's certainty equivalent."""
     batch = simulate_batch(spec.cfg, policy, spec.mkt, spec.normals)
     return value_from_batch(batch, spec.cfg)
+
+
+_worker_spec: ObjectiveSpec | None = None  # a pool worker's spec, set once at its start
+
+
+def _adopt_spec(spec: ObjectiveSpec) -> None:
+    global _worker_spec
+    _worker_spec = spec
+
+
+def _evaluate_in_worker(policy: PolicyParams) -> ObjectiveValue:
+    return evaluate_policy(policy, _worker_spec)
+
+
+def evaluate_policies(policies, spec: ObjectiveSpec) -> list[ObjectiveValue]:
+    """:func:`evaluate_policy` of each policy on the spec's draws, in order.
+
+    The draws are generated once; then one forked worker per CPU of this
+    process's affinity mask (at most one per policy) inherits them and scores
+    one policy at a time. Without ``fork`` or an affinity mask, or with one
+    usable CPU, this process scores them itself; the values are the same. A
+    worker's exception is re-raised here. Like any fork, the pool is unsafe
+    while another thread of this process may hold a lock.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    policies = list(policies)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(policies))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [evaluate_policy(policy, spec) for policy in policies]
+    spec.normals  # generated once, before any worker starts
+    # under fork the initializer's argument is inherited, not pickled: the
+    # draws are never copied, and each task sends only its policy
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_spec, initargs=(spec,),
+    ) as pool:
+        return list(pool.map(_evaluate_in_worker, policies, chunksize=1))

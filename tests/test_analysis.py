@@ -86,6 +86,13 @@ class TestIrRoughness:
         monkeypatch.setattr("cdcfund.analysis._ROUGHNESS_BLOCK", len(paths))
         assert np.array_equal(ir_roughness_batch(paths), blocked, equal_nan=True)
 
+    def test_memory_layout_does_not_change_the_bits(self):
+        paths = np.random.default_rng(2).normal(size=(2_500, 40)).cumsum(axis=1)
+        assert np.array_equal(
+            ir_roughness_batch(paths), ir_roughness_batch(np.asfortranarray(paths)),
+            equal_nan=True,
+        )
+
     def test_temporaries_stay_below_the_input_size(self):
         # a 10k-path tracked account of 481 samples, as `analyze` scores it
         paths = np.random.default_rng(3).normal(size=(10_000, 481)).cumsum(axis=1)

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,12 +19,14 @@ from cdcfund.cli import (
     TRAJECTORY_HEADER,
     WELFARE_HEADER,
     ConfigError,
+    _lattice,
     main,
     parse_config,
     run_cell,
     run_grid_oracle,
 )
 from cdcfund.market import preset_market
+from cdcfund.objective import evaluate_policy
 from draws import record_generated
 
 TINY = """
@@ -34,16 +37,33 @@ TINY = """
 
 def test_cli_import_defers_scipy_stats_and_special():
     # scipy.stats alone takes about a second to import; commands that never
-    # optimize must not pay for it, nor for scipy.linalg, which only the GP uses
+    # optimize must not pay for it, nor for scipy.linalg, which only the GP
+    # uses, nor for the process pool, which only grid starts
     env = dict(os.environ, PYTHONPATH=str(Path(cdcfund.__file__).resolve().parents[1]))
     code = (
         "import sys, cdcfund.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg', "
+        "'multiprocessing', 'concurrent.futures') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_grid_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # one process pinned to a single CPU scores the lattice serially, the
+    # other on a worker per CPU of its affinity mask
+    env = dict(os.environ, PYTHONPATH=str(Path(cdcfund.__file__).resolve().parents[1]))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    runs = {}
+    for name, pin in (("one-cpu", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdcfund.cli", "grid", "--fast", "--resolution", "3",
+             "--output-dir", str(tmp_path / name)],
+            env=env, cwd=tmp_path, capture_output=True, check=True, preexec_fn=pin,
+        )
+        runs[name] = (proc.stdout, (tmp_path / name / "grid.csv").read_bytes())
+    assert runs["one-cpu"] == runs["all"]
 
 
 def test_optimize_leaves_scipy_stats_unimported(tmp_path):
@@ -144,6 +164,19 @@ class TestGridOracle:
         made = record_generated(monkeypatch)
         run_grid_oracle(parse_config('{"n_paths": 20, "horizon": 30}'), 3)
         assert len(made) == 1
+
+    def test_rows_equal_a_serial_loop(self):
+        config = parse_config('{"n_paths": 40, "horizon": 50, "seed": 3}')
+        rows, best = run_grid_oracle(config, 4)
+        serial = []
+        for policy in _lattice(4):
+            val = evaluate_policy(policy, config.spec)
+            serial.append((policy.pi, policy.theta, val.ce, val.eu, val.eu_stderr,
+                           val.n_bankrupt))
+        assert any(row[5] > 0 for row in serial) and any(row[5] == 0 for row in serial)
+        assert np.array_equal(np.array(rows), np.array(serial), equal_nan=True)
+        assert best == max(serial, key=lambda row: row[2])
+        assert multiprocessing.active_children() == []
 
     def test_resolution_validated(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -9,9 +13,11 @@ from cdcfund.fund import FundConfig, PolicyParams, SimulationBatch
 from cdcfund.market import preset_market
 from cdcfund.objective import (
     ObjectiveSpec,
+    ObjectiveValue,
     certainty_equivalent,
     certainty_equivalent_stderr,
     crra_utility,
+    evaluate_policies,
     evaluate_policy,
     value_from_batch,
 )
@@ -197,3 +203,82 @@ class TestEvaluatePolicy:
         # would run on seed 1's draws
         with pytest.raises(ValueError, match=f"^{field} must"):
             ObjectiveSpec(cfg=FundConfig(), mkt=M1, **{field: value})
+
+
+class TestEvaluatePolicies:
+    SPEC = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=20, seed=4)
+    POLICIES = [PolicyParams(pi=pi, theta=0.3) for pi in (0.0, 0.5, 1.0, 2.0, 3.0)]
+    MULTI_CPU = pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="the pool needs two usable CPUs"
+    )
+
+    @pytest.fixture(autouse=True)
+    def time_bound(self):
+        """A pool that hangs fails its test after a minute instead of stalling
+        the suite (a forked child does not inherit the pending alarm)."""
+
+        def expire(signum, frame):
+            raise TimeoutError("evaluate_policies did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def record_pids(monkeypatch):
+        """Make each evaluation return the id of the process that ran it."""
+
+        def pid_value(policy, spec):
+            return ObjectiveValue(0.0, 0.0, 0.0, False, os.getpid(), 0.0)
+
+        monkeypatch.setattr("cdcfund.objective.evaluate_policy", pid_value)
+
+    def test_values_in_policy_order(self):
+        values = evaluate_policies(iter(self.POLICIES), self.SPEC)
+        serial = [evaluate_policy(policy, self.SPEC) for policy in self.POLICIES]
+        assert [repr(v) for v in values] == [repr(v) for v in serial]  # NaN-aware
+        assert evaluate_policies([], self.SPEC) == []
+        assert multiprocessing.active_children() == []
+
+    @MULTI_CPU
+    def test_policies_are_scored_in_worker_processes(self, monkeypatch):
+        self.record_pids(monkeypatch)
+        pids = {v.n_bankrupt for v in evaluate_policies(self.POLICIES, self.SPEC)}
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= len(os.sched_getaffinity(0))
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_scores_in_this_process(self, monkeypatch):
+        self.record_pids(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        pids = {v.n_bankrupt for v in evaluate_policies(self.POLICIES, self.SPEC)}
+        assert pids == {os.getpid()}
+
+    def test_worker_error_is_raised_here(self, monkeypatch):
+        def failing(policy, spec):
+            if policy.pi == 2.0:
+                raise ValueError("policy failed in a worker")
+            return evaluate_policy(policy, spec)
+
+        monkeypatch.setattr("cdcfund.objective.evaluate_policy", failing)
+        with pytest.raises(ValueError, match="policy failed in a worker"):
+            evaluate_policies(self.POLICIES, self.SPEC)
+        assert multiprocessing.active_children() == []
+
+    @MULTI_CPU
+    def test_killed_worker_breaks_the_pool_instead_of_hanging(self, monkeypatch):
+        parent = os.getpid()
+
+        def dying(policy, spec):
+            if policy.pi == 2.0 and os.getpid() != parent:
+                os._exit(1)
+            return evaluate_policy(policy, spec)
+
+        monkeypatch.setattr("cdcfund.objective.evaluate_policy", dying)
+        with pytest.raises(BrokenProcessPool):
+            evaluate_policies(self.POLICIES, self.SPEC)
+        assert multiprocessing.active_children() == []

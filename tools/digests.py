@@ -3,13 +3,14 @@
 Usage: ``python tools/digests.py [--src DIR]``
 
 Runs ``evaluate``, ``simulate`` and ``analyze`` each at a solvent and at a
-bankrupt policy, a 3 x 3 ``grid``, ``optimize --fast``, and ``run-cell
---fast`` at seeds 1 and 2, each in a fresh interpreter that imports
-``cdcfund`` from ``DIR`` (default: the ``src`` directory of the checkout
-holding this script), with outputs in a temporary directory. One
-``sha256  run/file`` line is printed per file written and per non-empty
-stdout, and an ``invalid-json  run/file`` line after it for a stdout or
-``.json`` file that is not strict JSON (RFC 8259 has no ``NaN`` or
+bankrupt policy, a 3 x 3 ``grid`` (once more pinned to one CPU as
+``grid-one-cpu``, whose digests must equal those of ``grid``), ``optimize
+--fast``, and ``run-cell --fast`` at seeds 1 and 2, each in a fresh
+interpreter that imports ``cdcfund`` from ``DIR`` (default: the ``src``
+directory of the checkout holding this script), with outputs in a temporary
+directory. One ``sha256  run/file`` line is printed per file written and per
+non-empty stdout, and an ``invalid-json  run/file`` line after it for a
+stdout or ``.json`` file that is not strict JSON (RFC 8259 has no ``NaN`` or
 ``Infinity``).
 ``manifest.json`` is hashed with its per-stage wall times removed, the only
 bytes that differ between identical runs. Comparing two checkouts is a
@@ -39,6 +40,7 @@ RUNS = {
     "evaluate": ["evaluate", "--seed", "1", *SOLVENT],
     "evaluate-bankrupt": ["evaluate", "--seed", "1", "--fast", *BANKRUPT],
     "grid": ["grid", "--seed", "1", "--fast", "--resolution", "3"],
+    "grid-one-cpu": ["grid", "--seed", "1", "--fast", "--resolution", "3"],
     "simulate-solvent": ["simulate", "--seed", "1", *SOLVENT, "--paths", "10"],
     "simulate-bankrupt": ["simulate", "--seed", "1", *BANKRUPT, "--paths", "10"],
     "analyze": ["analyze", "--seed", "1", "--fast", *SOLVENT],
@@ -47,6 +49,7 @@ RUNS = {
     "run-cell-seed1": ["run-cell", "--seed", "1", "--fast"],
     "run-cell-seed2": ["run-cell", "--seed", "2", "--fast"],
 }
+ONE_CPU = {"grid-one-cpu"}  # runs confined to the lowest CPU of this process's affinity mask
 
 
 def _sha256(data: bytes) -> str:
@@ -79,12 +82,14 @@ def digests(src: Path, workdir: Path) -> list[str]:
     """Run every command of ``RUNS`` against the package in ``src`` and return
     the digest lines; raises if a command exits non-zero."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    one_cpu = {min(os.sched_getaffinity(0))}
     lines = []
     for name, argv in RUNS.items():
         outdir = workdir / name
         proc = subprocess.run(
             [sys.executable, "-m", "cdcfund.cli", *argv, "--output-dir", str(outdir)],
             env=env, cwd=workdir, capture_output=True, check=False,
+            preexec_fn=(lambda: os.sched_setaffinity(0, one_cpu)) if name in ONE_CPU else None,
         )
         if proc.returncode != 0:
             raise RuntimeError(
