@@ -233,14 +233,10 @@ def optimize(evaluate, bo_cfg: BoConfig) -> BoTrace:
 
     design = latin_hypercube(bo_cfg.n_init, lhs_rng)
     records: list[BoRecord] = []
-    points: list[np.ndarray] = []
-    values: list[float] = []
-    margins: list[float] = []
-    solvent: list[bool] = []
-    inc_idx = -1
+    incumbent: BoRecord | None = None
 
     def record(k: int, x, val: ObjectiveValue, h: float, noise: float) -> None:
-        nonlocal inc_idx
+        nonlocal incumbent
         if not math.isfinite(val.solvency_margin) or not (
             val.any_bankruptcy or math.isfinite(val.ce)
         ):
@@ -248,46 +244,38 @@ def optimize(evaluate, bo_cfg: BoConfig) -> BoTrace:
                 f"evaluation {k} at pi={x[0]!r}, theta={x[1]!r} returned a non-finite "
                 f"value: solvency_margin={val.solvency_margin!r}, ce={val.ce!r}"
             )
-        points.append(np.asarray(x, dtype=float))
-        values.append(val.ce)
-        margins.append(val.solvency_margin)
-        solvent.append(not val.any_bankruptcy)
-        if inc_idx < 0 or (solvent[-1] and (not solvent[inc_idx] or val.ce > values[inc_idx])):
-            inc_idx = len(values) - 1
-        records.append(
-            BoRecord(
-                iteration=k,
-                pi=float(x[0]),
-                theta=float(x[1]),
-                ce=val.ce,
-                eu=val.eu,
-                eu_stderr=val.eu_stderr,
-                n_bankrupt=val.n_bankrupt,
-                any_bankruptcy=val.any_bankruptcy,
-                solvency_margin=val.solvency_margin,
-                incumbent_pi=float(points[inc_idx][0]),
-                incumbent_theta=float(points[inc_idx][1]),
-                incumbent_ce=values[inc_idx],
-                gp_length_scale=h,
-                gp_noise=noise,
-            )
+        pi, theta = float(x[0]), float(x[1])
+        rec = BoRecord(
+            iteration=k, pi=pi, theta=theta, ce=val.ce, eu=val.eu, eu_stderr=val.eu_stderr,
+            n_bankrupt=val.n_bankrupt, any_bankruptcy=val.any_bankruptcy,
+            solvency_margin=val.solvency_margin, incumbent_pi=pi, incumbent_theta=theta,
+            incumbent_ce=val.ce, gp_length_scale=h, gp_noise=noise,
         )
+        if incumbent is None or (
+            not rec.any_bankruptcy and (incumbent.any_bankruptcy or rec.ce > incumbent.ce)
+        ):
+            incumbent = rec
+        else:
+            rec = replace(rec, incumbent_pi=incumbent.pi, incumbent_theta=incumbent.theta,
+                          incumbent_ce=incumbent.ce)
+        records.append(rec)
 
     for k in range(bo_cfg.n_init):
         record(k, design[k], evaluate(design[k][0], design[k][1], k), float("nan"), float("nan"))
 
     for k in range(bo_cfg.n_init, bo_cfg.n_total):
-        x_norm = (np.array(points) - _BOX[:, 0]) / (_BOX[:, 1] - _BOX[:, 0])
-        margin_model = fit(x_norm, np.array(margins))
-        mask = np.array(solvent)
+        points = np.array([(rec.pi, rec.theta) for rec in records])
+        x_norm = (points - _BOX[:, 0]) / (_BOX[:, 1] - _BOX[:, 0])
+        margin_model = fit(x_norm, np.array([rec.solvency_margin for rec in records]))
+        mask = np.array([not rec.any_bankruptcy for rec in records])
         model = None
         h = noise = float("nan")
         if mask.any():
-            solvent_ce = np.array(values)[mask]
+            solvent_ce = np.array([rec.ce for rec in records])[mask]
             model = fit(x_norm[mask], solvent_ce, prior_mean=float(solvent_ce.min()))
             h, noise = model.kernel.length_scale, model.noise_variance
         nxt = maximize_acquisition(
-            model, margin_model, values[inc_idx], bo_cfg.acquisition_budget, acq_rng
+            model, margin_model, incumbent.ce, bo_cfg.acquisition_budget, acq_rng
         )
         record(k, nxt, evaluate(nxt[0], nxt[1], k), h, noise)
 

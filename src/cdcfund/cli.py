@@ -328,13 +328,15 @@ def _analysis_outputs(config: ExperimentConfig, policy: PolicyParams, outdir: Pa
         "CDC": ir_roughness_batch(batch.account_trajectories[TRACKED_GENERATION]),
         "IDC": ir_roughness_batch(idc_traj[TRACKED_GENERATION]),
     }
-    mean_roughness = {plan: float(np.nanmean(r)) for plan, r in roughness.items()}
+    n_finite = {plan: int(np.isfinite(r).sum()) for plan, r in roughness.items()}
+    mean_roughness = {  # NaN when every path went bankrupt before the generation retired
+        plan: float(np.nanmean(r)) if n_finite[plan] else np.nan for plan, r in roughness.items()
+    }
     rough_path = outdir / "roughness.csv"
     _write_csv(
         rough_path,
         ROUGHNESS_HEADER,
-        [(plan, TRACKED_GENERATION, mean_roughness[plan], int(np.isfinite(r).sum()))
-         for plan, r in roughness.items()],
+        [(plan, TRACKED_GENERATION, mean_roughness[plan], n_finite[plan]) for plan in roughness],
     )
 
     mean_ratio = batch.mean_funding_ratio

@@ -202,8 +202,9 @@ def simulate_batch(
     when the draws are stored time-major as ``normal_matrix`` stores them.
 
     Within a year all accounts share one accumulated crediting factor, so the
-    per-generation accounts are materialized at year boundaries only; tracked
-    generations additionally record every inner step of their working life.
+    per-generation accounts are materialized at year boundaries only; a
+    tracked generation's account at each inner step of its working life is
+    its ledger row times that factor, so it ends at its benefit bit for bit.
     All per-path state is laid out path-contiguous: accounts are
     ``(n_generations, n_paths)``, and recordings are written one step per row
     of a ``(steps_per_year, n_paths)`` buffer that is copied into the
@@ -234,7 +235,6 @@ def simulate_batch(
     assets = np.full(n_paths, a0)
     liabilities = np.full(n_paths, a0)
     cum_credit = np.ones(n_paths)
-    alive = np.ones(n_paths, dtype=bool)
     bankrupt_at = np.full(n_paths, np.nan)
     payments = np.full((n_paths, cfg.horizon), np.nan)
 
@@ -253,7 +253,6 @@ def simulate_batch(
         asset_year = np.empty((spy, n_paths))
         liab_year = np.empty((spy, n_paths))
 
-    tracked_value = {i: np.zeros(n_paths) for i in tracked_generations}
     trajectories = {i: np.empty((n_paths, n * spy + 1)) for i in tracked_generations}
     tracked_year = {i: np.empty((spy, n_paths)) for i in tracked_generations}
 
@@ -289,25 +288,18 @@ def simulate_batch(
             min_ratio = min(min_ratio, float(np.divide(assets, liabilities, out=ratio).min()))
         np.greater(assets, 0.0, out=survived)
         if dead is not None or not survived.all():
-            bankrupt_at[alive & ~survived] = float(t)
-            alive &= survived
-            dead = ~alive
+            bankrupt_at[np.isnan(bankrupt_at) & ~survived] = t
+            dead = ~np.isnan(bankrupt_at)
         if t >= 1:
             if dead is not None:
                 benefit[dead] = np.nan
             payments[:, t - 1] = benefit
-        working = []  # tracked generations that work through year t
-        for i in tracked_generations:
-            birth = i - n
-            if t == birth:
-                tracked_value[i][:] = cfg.y
-                trajectories[i][:, 0] = cfg.y
+        working = [i for i in tracked_generations if i - n <= t < i]  # through year t
+        for i in working:
+            if t == i - n:  # a newcomer's first sample: its ledger row, y
+                trajectories[i][:, 0] = accounts[i % n]
                 if dead is not None:
                     trajectories[i][dead, 0] = np.nan
-            elif birth < t < i:
-                tracked_value[i] += cfg.y
-            if birth <= t < i:
-                working.append((i, tracked_value[i], tracked_year[i]))
         if t == cfg.horizon:
             break
         if dead is not None:
@@ -326,9 +318,8 @@ def simulate_batch(
             assets *= growth[step]
             liabilities *= credit
             cum_credit *= credit
-            for _, value, year in working:
-                value *= credit
-                year[step] = value
+            for i in working:
+                np.multiply(accounts[i % n], cum_credit, out=tracked_year[i][step])
             if ratio_year is not None:
                 np.divide(assets, liabilities, out=ratio_year[step])
             if asset_year is not None:
@@ -337,13 +328,13 @@ def simulate_batch(
 
         # the year's recordings, NaN on paths dead before it began
         first = t * spy + 1
-        for i, _, year in working:
-            _store_year(trajectories[i], year, first - (i - n) * spy, dead)
+        for i in working:
+            _store_year(trajectories[i], tracked_year[i], first - (i - n) * spy, dead)
         if ratio_year is not None:
             # each step's mean over the live paths: one contiguous row sum
             # with the dead paths set to 0, or NaN when none is live
             span = mean_ratio[first : first + spy]
-            n_live = int(np.count_nonzero(alive))
+            n_live = int(np.count_nonzero(np.isnan(bankrupt_at)))
             if n_live:
                 if dead is not None:
                     ratio_year[:, dead] = 0.0
@@ -355,7 +346,7 @@ def simulate_batch(
             _store_year(asset_rec, asset_year, first, dead)
             _store_year(liab_rec, liab_year, first, dead)
 
-    n_dead = int(np.count_nonzero(~alive))
+    n_dead = n_paths - int(np.count_nonzero(np.isnan(bankrupt_at)))
     return SimulationBatch(
         payments=payments,
         bankrupt_at=bankrupt_at,

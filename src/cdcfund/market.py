@@ -135,8 +135,6 @@ class RandomStream:
     def __init__(self, seed: int, path_index: int = 0):
         _check_uint64("seed", seed)
         _check_uint64("path_index", path_index)
-        self.seed = seed
-        self.path_index = path_index
         key = np.array([seed, path_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

@@ -7,7 +7,8 @@ account is a dictionary entry, every inner step and every year-boundary jump
 is its own function, and the declaration rate is recomputed from the state at
 each step. It also holds :func:`mean_funding_ratio_trajectory`, the NaN-aware
 cross-path mean that the engine's streamed ``mean_funding_ratio`` is checked
-against.
+against, and :func:`risk_free_oracle`, the closed-form annual recursion of the
+``pi = 0, theta = 0`` fund that both are checked against.
 """
 
 from __future__ import annotations
@@ -198,3 +199,33 @@ def mean_funding_ratio_trajectory(funding_ratios: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         out[~all_nan] = np.nanmean(fr[:, ~all_nan], axis=0)
     return out
+
+
+def risk_free_oracle(cfg: FundConfig, r: float):
+    """Closed-form annual recursion for the pi = 0, theta = 0 fund.
+
+    Every quantity evolves at the risk-free rate, so annual arithmetic
+    suffices: accounts grow by exp(r), the retiree's account is paid out and
+    every account receives y. Returns the payments of years 1..horizon and the
+    post-jump assets and accounts of years 0..horizon.
+    """
+    n = cfg.n_generations
+    accounts = {i: entry_cohort_account(i, cfg, r) for i in range(1, n + 1)}
+    assets = sum(accounts.values())
+    payments = []
+    yearly_assets = []
+    yearly_accounts = []
+    for t in range(cfg.horizon + 1):
+        if t > 0:
+            accounts = {i: v * math.exp(r) for i, v in accounts.items()}
+            assets *= math.exp(r)
+            benefit = accounts.pop(t)
+            payments.append(benefit)
+            accounts[t + n] = 0.0
+            assets += n * cfg.y - benefit
+        else:
+            assets += n * cfg.y
+        accounts = {i: v + cfg.y for i, v in accounts.items()}
+        yearly_assets.append(assets)
+        yearly_accounts.append(dict(accounts))
+    return np.array(payments), np.array(yearly_assets), yearly_accounts

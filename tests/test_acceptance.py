@@ -16,7 +16,7 @@ import pytest
 from cdcfund.analysis import benefit_quantile, ir_roughness_batch
 from cdcfund.bo import BoConfig, run_bo
 from cdcfund.cli import main as cli_main
-from cdcfund.fund import FundConfig, PolicyParams, entry_cohort_account, simulate_batch
+from cdcfund.fund import FundConfig, PolicyParams, simulate_batch
 from cdcfund.gp import Matern52Kernel, build_model, posterior
 from cdcfund.idc import idc_terminal_benefits, idc_trajectories
 from cdcfund.market import RandomStream, preset_market
@@ -29,7 +29,7 @@ from cdcfund.objective import (
     value_from_batch,
 )
 from draws import draws
-from reference_fund import initialize_fund, step_month, year_boundary_jump
+from reference_fund import initialize_fund, risk_free_oracle, step_month, year_boundary_jump
 
 GAMMAS = (0.5, 1.0, 2.0, 3.0, 5.0, 10.0)
 
@@ -125,30 +125,6 @@ def _grid_best(market: str, gamma: float, resolution: int, n_paths: int, seed: i
             if best is None or val.ce > best.ce:
                 best = val
     return best
-
-
-def risk_free_fund_oracle(cfg: FundConfig, r: float):
-    """Closed-form annual recursion for the pi = 0, theta = 0 fund."""
-    n = cfg.n_generations
-    accounts = {i: entry_cohort_account(i, cfg, r) for i in range(1, n + 1)}
-    assets = sum(accounts.values())
-    payments = []
-    yearly_assets = []
-    yearly_accounts = []
-    for t in range(cfg.horizon + 1):
-        if t > 0:
-            accounts = {i: v * math.exp(r) for i, v in accounts.items()}
-            assets *= math.exp(r)
-            benefit = accounts.pop(t)
-            payments.append(benefit)
-            accounts[t + n] = 0.0
-            assets += n * cfg.y - benefit
-        else:
-            assets += n * cfg.y
-        accounts = {i: v + cfg.y for i, v in accounts.items()}
-        yearly_assets.append(assets)
-        yearly_accounts.append(dict(accounts))
-    return np.array(payments), np.array(yearly_assets), yearly_accounts
 
 
 class TestCriterion01ReferenceOptimaProximity:
@@ -298,7 +274,7 @@ class TestCriterion05TailProtection:
 class TestCriterion06DeterministicOracles:
     def test_risk_free_fund_matches_recursion(self):
         r = preset_market("M1").r
-        payments, yearly_assets, yearly_accounts = risk_free_fund_oracle(BASE_CFG, r)
+        payments, yearly_assets, yearly_accounts = risk_free_oracle(BASE_CFG, r)
         policy = PolicyParams(pi=0.0, theta=0.0)
 
         # walk the state machine and compare asset, liability and every

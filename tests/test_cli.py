@@ -278,6 +278,21 @@ class TestCommands:
         gens = sorted({int(line.split(",")[0]) for line in welfare})
         assert gens == list(range(40, 46))  # horizon 45
 
+    def test_analyze_with_every_path_bankrupt_before_generation_41_retires(self, tmp_path):
+        # no CDC account of generation 41 is finite: the mean roughness is
+        # NaN over zero paths, without an empty-slice RuntimeWarning
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"n_paths": 2}')
+        out = tmp_path / "out"
+        assert run_cli(["analyze", "--config", str(cfg_path), "--output-dir", str(out),
+                        "--seed", "0", "--pi", "3.0", "--theta", "0.0"]) == 0
+        rows = (out / "roughness.csv").read_text().splitlines()
+        cdc = next(row for row in rows if row.startswith("CDC,"))
+        assert cdc.endswith(",nan,0")
+        summary = strict_json((out / "analysis_summary.json").read_text())
+        assert summary["n_bankrupt"] == 2
+        assert summary["mean_roughness"]["CDC"] is None
+
     def test_run_cell_reproduces_byte_identical_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(TINY)

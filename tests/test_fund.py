@@ -17,6 +17,7 @@ from reference_fund import (
     generation_indicator,
     initialize_fund,
     mean_funding_ratio_trajectory,
+    risk_free_oracle,
     simulate_path,
     step_month,
     year_boundary_jump,
@@ -31,30 +32,6 @@ SIMULATORS = {
     "idc_terminal_benefits": lambda normals: idc_terminal_benefits(CFG, 0.5, M1, normals, (41,)),
     "idc_trajectories": lambda normals: idc_trajectories(CFG, 0.5, M1, normals, (41,)),
 }
-
-
-def risk_free_oracle(cfg: FundConfig, r: float):
-    """Independent closed-form recursion for the pi=0, theta=0 fund.
-
-    Every quantity evolves at the risk-free rate, so annual arithmetic
-    suffices: accounts grow by exp(r), receive y, and the retiree's account
-    is paid out.
-    """
-    n = cfg.n_generations
-    accounts = {i: entry_cohort_account(i, cfg, r) for i in range(1, n + 1)}
-    assets = sum(accounts.values())
-    payments = []
-    for t in range(cfg.horizon + 1):
-        if t > 0:
-            accounts = {i: v * math.exp(r) for i, v in accounts.items()}
-            benefit = accounts.pop(t)
-            payments.append(benefit)
-            accounts[t + n] = 0.0
-            assets = assets * math.exp(r) + n * cfg.y - benefit
-        else:
-            assets += n * cfg.y
-        accounts = {i: v + cfg.y for i, v in accounts.items()}
-    return np.array(payments), assets, accounts
 
 
 class TestGenerationIndicator:
@@ -457,7 +434,7 @@ class TestSimulateBatch:
     def test_risk_free_batch_matches_oracle(self):
         policy = PolicyParams(pi=0.0, theta=0.0)
         batch = simulate_batch(CFG, policy, M1, draws(0, 3), record_state=True)
-        payments, final_assets, _ = risk_free_oracle(CFG, M1.r)
+        payments, _, _ = risk_free_oracle(CFG, M1.r)
         assert np.allclose(batch.payments, payments[None, :], rtol=1e-9)
         assert batch.assets[0, 0] == pytest.approx(1043.6835286407702, rel=1e-9)
 
@@ -490,6 +467,19 @@ class TestEngineLayout:
         for i in (41, 70):
             assert np.array_equal(
                 part.account_trajectories[i], full.account_trajectories[i][a:b], equal_nan=True
+            )
+
+    @pytest.mark.parametrize("pi, theta", [(0.865, 0.345), (3.0, 0.0)])
+    def test_tracked_account_ends_at_its_payment(self, pi, theta):
+        # a tracked account is its ledger row times the year's crediting, so
+        # its last sample is the benefit paid at retirement bit for bit; a
+        # path that dies at that very boundary keeps a finite last sample
+        batch = _full_run(pi, theta)
+        for i in (41, 70):
+            paid = ~np.isnan(batch.payments[:, i - 1])
+            assert paid.any()
+            assert np.array_equal(
+                batch.account_trajectories[i][paid, -1], batch.payments[paid, i - 1]
             )
 
     @given(

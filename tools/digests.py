@@ -3,15 +3,18 @@
 Usage: ``python tools/digests.py [--src DIR]``
 
 Runs ``evaluate``, ``simulate`` and ``analyze`` each at a solvent and at a
-bankrupt policy, a 3 x 3 ``grid`` (once more pinned to one CPU as
-``grid-one-cpu``, whose digests must equal those of ``grid``), ``optimize
---fast``, and ``run-cell --fast`` at seeds 1 and 2, each in a fresh
-interpreter that imports ``cdcfund`` from ``DIR`` (default: the ``src``
-directory of the checkout holding this script), with outputs in a temporary
-directory. One ``sha256  run/file`` line is printed per file written and per
-non-empty stdout, and an ``invalid-json  run/file`` line after it for a
-stdout or ``.json`` file that is not strict JSON (RFC 8259 has no ``NaN`` or
-``Infinity``).
+bankrupt policy, ``analyze`` once more on 2 paths that are both bankrupt
+before generation 41 retires (``analyze-all-bankrupt``), a 3 x 3 ``grid``
+(once more pinned to one CPU as ``grid-one-cpu``, whose digests must equal
+those of ``grid``), ``optimize --fast``, and ``run-cell --fast`` at seeds 1
+and 2, each in a fresh interpreter that imports ``cdcfund`` from ``DIR``
+(default: the ``src`` directory of the checkout holding this script), with
+outputs in a temporary directory. One ``sha256  run/file`` line is printed
+per file written and per non-empty stdout, an ``invalid-json  run/file`` line
+after it for a stdout or ``.json`` file that is not strict JSON (RFC 8259 has
+no ``NaN`` or ``Infinity``), and a ``stderr  run`` line for a run that wrote
+to stderr, such as a warning. The stderr itself is not hashed: warning text
+holds the checkout's path.
 ``manifest.json`` is hashed with its per-stage wall times removed, the only
 bytes that differ between identical runs. Comparing two checkouts is a
 ``diff`` of their outputs::
@@ -45,6 +48,7 @@ RUNS = {
     "simulate-bankrupt": ["simulate", "--seed", "1", *BANKRUPT, "--paths", "10"],
     "analyze": ["analyze", "--seed", "1", "--fast", *SOLVENT],
     "analyze-bankrupt": ["analyze", "--seed", "1", "--fast", *BANKRUPT],
+    "analyze-all-bankrupt": ["analyze", "--config", "two-paths.json", "--seed", "0", *BANKRUPT],
     "optimize": ["optimize", "--seed", "1", "--fast"],
     "run-cell-seed1": ["run-cell", "--seed", "1", "--fast"],
     "run-cell-seed2": ["run-cell", "--seed", "2", "--fast"],
@@ -83,6 +87,7 @@ def digests(src: Path, workdir: Path) -> list[str]:
     the digest lines; raises if a command exits non-zero."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     one_cpu = {min(os.sched_getaffinity(0))}
+    (workdir / "two-paths.json").write_text('{"n_paths": 2}')  # analyze-all-bankrupt's config
     lines = []
     for name, argv in RUNS.items():
         outdir = workdir / name
@@ -98,6 +103,8 @@ def digests(src: Path, workdir: Path) -> list[str]:
         if proc.stdout:
             lines.append(f"{_sha256(proc.stdout)}  {name}/stdout")
             lines += _strict_json_check(proc.stdout, f"{name}/stdout")
+        if proc.stderr:
+            lines.append(f"stderr  {name}")
         if outdir.exists():
             for path in sorted(outdir.iterdir()):
                 lines.append(f"{_file_digest(path)}  {name}/{path.name}")
