@@ -10,12 +10,13 @@ ratio.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import MarketParams, _check_integer, expected_log_return, growth_factors
+from .market import MarketParams, _check_integer, _increment_coefficients
 
 __all__ = [
     "OMEGA",
@@ -197,20 +198,34 @@ def simulate_batch(
     Path ``p`` consumes row ``p``, so the draws of
     :func:`~cdcfund.market.normal_matrix` make path ``p`` run on
     ``RandomStream(seed, p)``; policies scored on one matrix share their
-    draws (common random numbers). Growth factors are computed one year of
-    draws at a time into one reused buffer, which reads contiguous memory
-    when the draws are stored time-major as ``normal_matrix`` stores them.
+    draws (common random numbers).
 
-    Within a year all accounts share one accumulated crediting factor, so the
-    per-generation accounts are materialized at year boundaries only; a
-    tracked generation's account at each inner step of its working life is
-    its ledger row times that factor, so it ends at its benefit bit for bit.
-    All per-path state is laid out path-contiguous: accounts are
-    ``(n_generations, n_paths)``, and recordings are written one step per row
-    of a ``(steps_per_year, n_paths)`` buffer that is copied into the
-    row-major record once a year. The funding ratio is never stored per
-    path: ``record_funding_ratios`` sums each step's row of live paths once a
-    year into the mean.
+    The engine steps a year at a time in log space. With ``g_k = drift +
+    scale * z_k`` the exact log-return of step ``k`` and ``drift = mu_pi *
+    dt``, the crediting ``exp(drift + theta*dt*x_k)`` makes the log funding
+    ratio ``x = log(A/L)`` follow ``x_{k+1} = rho * x_k + scale * z_k``,
+    ``rho = 1 - theta*dt``. From the post-jump ``x_0`` a year therefore
+    multiplies the asset by ``exp(spy*drift + scale * sum_k z_k)`` and the
+    liability and every account by ``c = exp(spy*drift + theta*dt*(c0*x_0 +
+    scale * sum_j w_j*z_j))``, with ``c0 = sum_{k<spy} rho^k`` and ``w_j =
+    sum_{m<spy-1-j} rho^m``. Both sums add the year's draw rows element-wise
+    in step order, so the bits depend neither on the draw layout nor on the
+    thread count. No account is stored: with ``C(t)`` the crediting from
+    time 0 to year ``t`` and ``R(s) = sum_{j<s} y/C(j)`` (a ring of the
+    ``n_generations + 1`` latest sums), generation ``i``'s account right
+    after the jump at year ``t`` is ``C(t) * (R(t+1) - R(i - n_generations))``,
+    or ``C(t) * (entry + R(t+1))`` for an entry generation, and its benefit
+    is that account at the start of its last year times that year's ``c``.
+
+    Recordings are computed only when asked for and never feed the state, so
+    recording leaves the results unchanged bit for bit. The samples at inner
+    steps ``1 .. spy-1`` come from the per-step log recursion and the last
+    from the year step; a tracked account is its start-of-year value times
+    the crediting so far, so it ends at its benefit bit for bit. Each year's
+    samples fill a ``(steps_per_year, n_paths)`` buffer, one contiguous row
+    per step, that is copied into the row-major record once a year. The
+    funding ratio is never stored per path: ``record_funding_ratios`` sums
+    each step's row of ``A/L`` over the live paths into the mean.
     """
     spy = cfg.steps_per_year
     n_steps = cfg.n_steps
@@ -220,23 +235,31 @@ def simulate_batch(
             raise ValueError(f"tracked generation must lie in {n}..{cfg.horizon}, got {i}")
     n_paths = _path_count(cfg, normals)
 
-    mu_pi = expected_log_return(mkt, policy.pi)
-    theta = policy.theta
-    dt = cfg.dt
+    drift, scale = _increment_coefficients(mkt, policy.pi, cfg.dt)
+    theta_dt = policy.theta * cfg.dt
+    year_drift = spy * drift
+    # partial[m] = sum_{k<m} rho^k, so c0 = partial[spy], w_j = partial[spy-1-j]
+    partial = list(itertools.accumulate(((1.0 - theta_dt) ** k for k in range(spy)), initial=0.0))
+    x0_weight = theta_dt * partial[spy]
+    z_weights = [theta_dt * scale * partial[spy - 1 - j] for j in range(spy - 1)]
 
     entry = np.array([entry_cohort_account(i, cfg, mkt.r) for i in range(1, n + 1)])
     a0 = float(entry.sum())
-    # generation i lives in row i % n; the retiring generation's row is
-    # reused by the generation that replaces it
-    accounts = np.empty((n, n_paths))
-    for i in range(1, n + 1):
-        accounts[i % n] = entry[i - 1]
-
     assets = np.full(n_paths, a0)
     liabilities = np.full(n_paths, a0)
-    cum_credit = np.ones(n_paths)
+    cum_credit = np.ones(n_paths)  # C(t)
+    sums = np.zeros((n + 1, n_paths))  # R(s) in row s % (n + 1)
     bankrupt_at = np.full(n_paths, np.nan)
     payments = np.full((n_paths, cfg.horizon), np.nan)
+
+    def account(i: int, t: int, out=None) -> np.ndarray:
+        """Generation ``i``'s account right after the jump at year ``t``."""
+        if i <= n:
+            out = np.add(sums[(t + 1) % (n + 1)], entry[i - 1], out=out)
+        else:
+            out = np.subtract(sums[(t + 1) % (n + 1)], sums[(i - n) % (n + 1)], out=out)
+        out *= cum_credit
+        return out
 
     # every record column is written: column 0 here, the rest a year at a time
     mean_ratio = ratio_year = None
@@ -250,8 +273,8 @@ def simulate_batch(
         liab_rec = np.empty((n_paths, n_steps + 1))
         asset_rec[:, 0] = assets
         liab_rec[:, 0] = liabilities
-        asset_year = np.empty((spy, n_paths))
-        liab_year = np.empty((spy, n_paths))
+    if record_state or record_funding_ratios:
+        asset_year, liab_year = np.empty((2, spy, n_paths))
 
     trajectories = {i: np.empty((n_paths, n * spy + 1)) for i in tracked_generations}
     tracked_year = {i: np.empty((spy, n_paths)) for i in tracked_generations}
@@ -261,24 +284,14 @@ def simulate_batch(
     # means the loop raises no floating-point event.
     dead = None  # mask of the dead paths, once there are any
     min_ratio = math.inf
-    theta_dt = theta * dt
-    mu_dt = mu_pi * dt
-    credit = np.empty(n_paths)
     benefit = np.zeros(n_paths)
-    flow = np.empty(n_paths)
-    ratio = np.empty(n_paths)
+    retiring = np.empty(n_paths)  # the next retiree's account
+    flow, ratio, log_ratio, term, z_sum, credit = np.empty((6, n_paths))
+    # the recordings' per-step log ratio, log growth and log crediting
+    x, log_growth, log_credited, step, factor = np.empty((5, n_paths))
     survived = np.empty(n_paths, dtype=bool)
-    growth = np.empty((spy, n_paths))
     for t in range(cfg.horizon + 1):
-        # year-boundary jump: materialize the year's crediting, pay the
-        # retiree, admit the newcomer, collect contributions
-        accounts *= cum_credit
-        cum_credit[:] = 1.0
-        if t >= 1:
-            row = accounts[t % n]
-            benefit[:] = row
-            row[:] = 0.0
-        accounts += cfg.y
+        # year-boundary jump: pay the retiree, collect contributions
         np.subtract(n * cfg.y, benefit, out=flow)
         assets += flow
         liabilities += flow
@@ -294,43 +307,79 @@ def simulate_batch(
             if dead is not None:
                 benefit[dead] = np.nan
             payments[:, t - 1] = benefit
-        working = [i for i in tracked_generations if i - n <= t < i]  # through year t
-        for i in working:
-            if t == i - n:  # a newcomer's first sample: its ledger row, y
-                trajectories[i][:, 0] = accounts[i % n]
-                if dead is not None:
-                    trajectories[i][dead, 0] = np.nan
         if t == cfg.horizon:
             break
         if dead is not None:
             assets[dead] = 1.0
             liabilities[dead] = 1.0
 
+        # this year's contribution enters the running sums
+        np.divide(cfg.y, cum_credit, out=term)
+        np.add(sums[t % (n + 1)], term, out=sums[(t + 1) % (n + 1)])
+        account(t + 1, t, out=retiring)
+        working = [i for i in tracked_generations if i - n <= t < i]
+        starts = {i: account(i, t) for i in working}
+        for i in working:
+            if t == i - n:  # a newcomer's first sample
+                trajectories[i][:, 0] = starts[i]
+                if dead is not None:
+                    trajectories[i][dead, 0] = np.nan
+
         # this year's draws, one contiguous row of paths per step when the
         # draws are stored time-major
-        growth_factors(mkt, policy.pi, dt, normals[:, t * spy : (t + 1) * spy].T, out=growth)
-        for step in range(spy):
-            np.divide(assets, liabilities, out=credit)
-            np.log(credit, out=credit)
-            credit *= theta_dt
-            credit += mu_dt
-            np.exp(credit, out=credit)
-            assets *= growth[step]
-            liabilities *= credit
-            cum_credit *= credit
-            for i in working:
-                np.multiply(accounts[i % n], cum_credit, out=tracked_year[i][step])
-            if ratio_year is not None:
-                np.divide(assets, liabilities, out=ratio_year[step])
-            if asset_year is not None:
-                asset_year[step] = assets
-                liab_year[step] = liabilities
+        year = normals[:, t * spy : (t + 1) * spy].T
+        np.divide(assets, liabilities, out=log_ratio)
+        np.log(log_ratio, out=log_ratio)
+        if working or asset_year is not None:
+            # inner steps 1 .. spy-1 by the per-step log recursion
+            np.copyto(x, log_ratio)
+            log_growth.fill(0.0)
+            log_credited.fill(0.0)
+            for k in range(spy - 1):
+                np.multiply(x, theta_dt, out=step)
+                step += drift
+                log_credited += step
+                np.multiply(year[k], scale, out=term)
+                term += drift
+                log_growth += term
+                x += term
+                x -= step
+                np.exp(log_credited, out=factor)
+                for i in working:
+                    np.multiply(starts[i], factor, out=tracked_year[i][k])
+                if asset_year is not None:
+                    np.exp(log_growth, out=asset_year[k])
+                    asset_year[k] *= assets
+                    np.multiply(liabilities, factor, out=liab_year[k])
+
+        # the year step: two fixed-order sums over the year's draws
+        np.copyto(z_sum, year[0])
+        np.multiply(log_ratio, x0_weight, out=credit)
+        for k, z in enumerate(year):
+            if k:
+                z_sum += z
+            if k < spy - 1:  # the last draw does not reach the year's crediting
+                np.multiply(z, z_weights[k], out=term)
+                credit += term
+        credit += year_drift
+        np.exp(credit, out=credit)
+        z_sum *= scale
+        z_sum += year_drift
+        assets *= np.exp(z_sum, out=z_sum)
+        liabilities *= credit
+        np.multiply(retiring, credit, out=benefit)
+        cum_credit *= credit
 
         # the year's recordings, NaN on paths dead before it began
         first = t * spy + 1
         for i in working:
+            np.multiply(starts[i], credit, out=tracked_year[i][-1])
             _store_year(trajectories[i], tracked_year[i], first - (i - n) * spy, dead)
+        if asset_year is not None:
+            asset_year[-1] = assets
+            liab_year[-1] = liabilities
         if ratio_year is not None:
+            np.divide(asset_year, liab_year, out=ratio_year)
             # each step's mean over the live paths: one contiguous row sum
             # with the dead paths set to 0, or NaN when none is live
             span = mean_ratio[first : first + spy]
@@ -342,7 +391,7 @@ def simulate_batch(
                 span /= n_live
             else:
                 span[:] = np.nan
-        if asset_year is not None:
+        if asset_rec is not None:
             _store_year(asset_rec, asset_year, first, dead)
             _store_year(liab_rec, liab_year, first, dead)
 

@@ -102,8 +102,9 @@ def idc_trajectories(
     """Per-step account values of the given generations across paths.
 
     Row ``p`` of each array runs on row ``p`` of ``normals``, the market
-    path of the fund simulation on the same matrix; the log market increments
-    per step are bit-identical to the fund asset's.
+    path of the fund simulation on the same matrix: both grow by the exact
+    log-returns of the same draws, the fund a year at a time and these
+    accounts step by step.
     """
     for i in generations:
         _check_generation(i, cfg)

@@ -5,10 +5,14 @@ The package simulates the fund in one vectorized engine,
 straightforward state machine the tests check that engine against: every
 account is a dictionary entry, every inner step and every year-boundary jump
 is its own function, and the declaration rate is recomputed from the state at
-each step. It also holds :func:`mean_funding_ratio_trajectory`, the NaN-aware
-cross-path mean that the engine's streamed ``mean_funding_ratio`` is checked
-against, and :func:`risk_free_oracle`, the closed-form annual recursion of the
-``pi = 0, theta = 0`` fund that both are checked against.
+each step. Beside it are :func:`simulate_path_year_step`, the same fund a
+year at a time in log space with plain Python floats, the scalar form of the
+engine's arithmetic; :func:`longdouble_payments`, the state machine in
+``np.longdouble``, against which both float64 arithmetics are measured;
+:func:`mean_funding_ratio_trajectory`, the NaN-aware cross-path mean that the
+engine's streamed ``mean_funding_ratio`` is checked against; and
+:func:`risk_free_oracle`, the closed-form annual recursion of the
+``pi = 0, theta = 0`` fund that all are checked against.
 """
 
 from __future__ import annotations
@@ -187,6 +191,101 @@ def simulate_path(
         bankrupt_at=bankrupt_at,
         account_trajectories=trajectories,
     )
+
+
+def simulate_path_year_step(
+    cfg: FundConfig, policy: PolicyParams, mkt: MarketParams, z: np.ndarray
+) -> tuple[np.ndarray, float | None, float]:
+    """One path on the draws ``z``, a year at a time in log space.
+
+    Within a year the log funding ratio follows ``x_{k+1} = (1 - theta*dt) *
+    x_k + scale * z_k``, so the year's crediting is ``exp(spy*drift +
+    theta*dt * sum_k x_k)`` and its asset growth ``exp(spy*drift + scale *
+    sum_k z_k)``. A benefit is the retiree's account at the start of its last
+    year, ``C * (entry + R)`` or ``C * (R - R_birth)`` from the cumulative
+    crediting ``C`` and the running sums ``R`` of ``y / C``, times that
+    year's crediting. Returns the payments (NaN from bankruptcy on), the
+    bankruptcy year or None, and the smallest post-payout funding ratio, or
+    -1 once bankrupt.
+    """
+    spy, n, y = cfg.steps_per_year, cfg.n_generations, cfg.y
+    drift = expected_log_return(mkt, policy.pi) * cfg.dt
+    scale = policy.pi * mkt.sigma * math.sqrt(cfg.dt)
+    theta_dt = policy.theta * cfg.dt
+    entry = [entry_cohort_account(i, cfg, mkt.r) for i in range(1, n + 1)]
+    assets = liabilities = sum(entry)
+    credit = 1.0  # crediting from time 0 to the current year
+    sums = [0.0]  # sums[s] = sum_{j<s} y / credit at year j
+    payments = np.full(cfg.horizon, np.nan)
+    benefit, margin = 0.0, math.inf
+    for t in range(cfg.horizon + 1):
+        assets += n * y - benefit
+        liabilities += n * y - benefit
+        if assets <= 0.0:
+            return payments, float(t), -1.0
+        margin = min(margin, assets / liabilities)
+        if t >= 1:
+            payments[t - 1] = benefit
+        if t == cfg.horizon:
+            break
+        sums.append(sums[t] + y / credit)
+        if t + 1 <= n:
+            start = credit * (entry[t] + sums[t + 1])
+        else:
+            start = credit * (sums[t + 1] - sums[t + 1 - n])
+        x = math.log(assets / liabilities)
+        sum_x = sum_z = 0.0
+        for z_k in z[t * spy : (t + 1) * spy]:
+            sum_x += x
+            x = (1.0 - theta_dt) * x + scale * z_k
+            sum_z += z_k
+        year_credit = math.exp(spy * drift + theta_dt * sum_x)
+        assets *= math.exp(spy * drift + scale * sum_z)
+        liabilities *= year_credit
+        credit *= year_credit
+        benefit = start * year_credit
+    return payments, None, margin
+
+
+def longdouble_payments(
+    cfg: FundConfig, policy: PolicyParams, mkt: MarketParams, z: np.ndarray
+) -> np.ndarray:
+    """Payments of one path on the draws ``z`` (NaN from bankruptcy on) by the
+    step-by-step state machine of :func:`simulate_path`, in ``np.longdouble``
+    from the float64 inputs: the near-exact run that float64 arithmetics are
+    measured against."""
+    ld = np.longdouble
+    n, spy = cfg.n_generations, cfg.steps_per_year
+    dt, y, pi, theta = ld(cfg.dt), ld(cfg.y), ld(policy.pi), ld(policy.theta)
+    mu, r, sigma = ld(mkt.mu), ld(mkt.r), ld(mkt.sigma)
+    mu_pi = pi * (mu - r) + r - pi * pi * sigma * sigma / 2
+    scale = pi * sigma * np.sqrt(dt)
+    # generation i's account in row i % n, as the entry cohorts' opening accounts
+    accounts = np.zeros(n, dtype=ld)
+    for i in range(1, n + 1):
+        accounts[i % n] = y * sum((np.exp(r * k) for k in range(1, n - i + 1)), ld(0))
+    assets = liabilities = accounts.sum()
+    payments = np.full(cfg.horizon, np.nan, dtype=ld)
+    for t in range(cfg.horizon + 1):
+        benefit = ld(0)
+        if t >= 1:
+            benefit = accounts[t % n]
+            accounts[t % n] = 0
+        accounts += y
+        assets += n * y - benefit
+        liabilities += n * y - benefit
+        if assets <= 0:
+            break
+        if t >= 1:
+            payments[t - 1] = benefit
+        if t == cfg.horizon:
+            break
+        for z_k in z[t * spy : (t + 1) * spy]:
+            credit = np.exp((mu_pi + theta * np.log(assets / liabilities)) * dt)
+            assets *= np.exp(mu_pi * dt + scale * ld(z_k))
+            liabilities *= credit
+            accounts *= credit
+    return payments
 
 
 def mean_funding_ratio_trajectory(funding_ratios: np.ndarray) -> np.ndarray:

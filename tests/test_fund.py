@@ -16,9 +16,11 @@ from reference_fund import (
     declaration_rate,
     generation_indicator,
     initialize_fund,
+    longdouble_payments,
     mean_funding_ratio_trajectory,
     risk_free_oracle,
     simulate_path,
+    simulate_path_year_step,
     step_month,
     year_boundary_jump,
 )
@@ -273,6 +275,47 @@ class TestSimulateBatch:
             ) and (np.isnan(expected) or expected == batch.bankrupt_at[p])
             assert np.allclose(rec.payments, batch.payments[p], rtol=1e-9, equal_nan=True)
 
+    @pytest.mark.parametrize("market", ["M1", "M2", "M3"])
+    @pytest.mark.parametrize(
+        "pi, theta, seed, n_paths", [(0.865, 0.345, 7, 4), (3.0, 0.0, 0, 30)]
+    )
+    def test_matches_year_step_oracle(self, market, pi, theta, seed, n_paths):
+        # the scalar year step sums the log ratio by its recursion where the
+        # engine uses fixed weights; everything else is the same arithmetic
+        policy, mkt = PolicyParams(pi, theta), preset_market(market)
+        batch = simulate_batch(CFG, policy, mkt, draws(seed, n_paths))
+        margins = []
+        for p in range(n_paths):
+            z = RandomStream(seed, p).normals(CFG.n_steps)
+            payments, bankrupt_at, margin = simulate_path_year_step(CFG, policy, mkt, z)
+            assert np.allclose(payments, batch.payments[p], rtol=1e-12, atol=0, equal_nan=True)
+            expected = np.nan if bankrupt_at is None else bankrupt_at
+            assert np.array_equal([expected], batch.bankrupt_at[p : p + 1], equal_nan=True)
+            margins.append(margin)
+        assert np.sign(batch.solvency_margin) == np.sign(min(margins))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is no wider than float64 here",
+    )
+    @pytest.mark.parametrize(
+        "market, pi, theta, path, bound",
+        [
+            # near bankruptcy: the payout nearly cancels the assets, so a
+            # payment's error is dominated by the conditioning there
+            ("M3", 0.865, 0.345, 2441, 3e-9),
+            ("M1", 1.5, 0.9, 2393, 1e-11),
+        ],
+    )
+    def test_payments_close_to_longdouble_run(self, market, pi, theta, path, bound):
+        policy, mkt = PolicyParams(pi, theta), preset_market(market)
+        z = RandomStream(0, path).normals(CFG.n_steps)
+        exact = longdouble_payments(CFG, policy, mkt, z)
+        payments = simulate_batch(CFG, policy, mkt, z[None, :]).payments[0]
+        assert np.array_equal(np.isnan(exact), np.isnan(payments))
+        error = np.abs((payments.astype(np.longdouble) - exact) / exact)
+        assert float(np.nanmax(error)) <= bound
+
     def test_recordings_match_single_path_through_bankruptcy(self):
         # funding ratios and tracked accounts are NaN from the bankruptcy
         # jump on, and equal the state machine's before it
@@ -471,9 +514,9 @@ class TestEngineLayout:
 
     @pytest.mark.parametrize("pi, theta", [(0.865, 0.345), (3.0, 0.0)])
     def test_tracked_account_ends_at_its_payment(self, pi, theta):
-        # a tracked account is its ledger row times the year's crediting, so
-        # its last sample is the benefit paid at retirement bit for bit; a
-        # path that dies at that very boundary keeps a finite last sample
+        # a tracked account is its start-of-year value times the crediting so
+        # far, so its last sample is the benefit paid at retirement bit for
+        # bit; a path that dies at that very boundary keeps a finite last sample
         batch = _full_run(pi, theta)
         for i in (41, 70):
             paid = ~np.isnan(batch.payments[:, i - 1])

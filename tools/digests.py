@@ -6,15 +6,17 @@ Runs ``evaluate``, ``simulate`` and ``analyze`` each at a solvent and at a
 bankrupt policy, ``analyze`` once more on 2 paths that are both bankrupt
 before generation 41 retires (``analyze-all-bankrupt``), a 3 x 3 ``grid``
 (once more pinned to one CPU as ``grid-one-cpu``, whose digests must equal
-those of ``grid``), ``optimize --fast``, and ``run-cell --fast`` at seeds 1
-and 2, each in a fresh interpreter that imports ``cdcfund`` from ``DIR``
-(default: the ``src`` directory of the checkout holding this script), with
-outputs in a temporary directory. One ``sha256  run/file`` line is printed
-per file written and per non-empty stdout, an ``invalid-json  run/file`` line
-after it for a stdout or ``.json`` file that is not strict JSON (RFC 8259 has
-no ``NaN`` or ``Infinity``), and a ``stderr  run`` line for a run that wrote
-to stderr, such as a warning. The stderr itself is not hashed: warning text
-holds the checkout's path.
+those of ``grid``, and once more in market M3 as ``grid-m3``, where the
+bankruptcy boundary crosses the lattice), ``optimize --fast``, and
+``run-cell --fast`` at seeds 1 and 2, each in a fresh interpreter that
+imports ``cdcfund`` from ``DIR`` (default: the ``src`` directory of the
+checkout holding this script), with outputs in a temporary directory. One
+``sha256  run/file`` line is printed per file written and per non-empty
+stdout, an ``invalid-json  run/file`` line after it for a stdout or
+``.json`` file that is not strict JSON (RFC 8259 has no ``NaN`` or
+``Infinity``), and a ``stderr  run`` line for a run that wrote to stderr,
+such as a warning. The stderr itself is not hashed: warning text holds the
+checkout's path.
 ``manifest.json`` is hashed with its per-stage wall times removed, the only
 bytes that differ between identical runs. Comparing two checkouts is a
 ``diff`` of their outputs::
@@ -44,6 +46,7 @@ RUNS = {
     "evaluate-bankrupt": ["evaluate", "--seed", "1", "--fast", *BANKRUPT],
     "grid": ["grid", "--seed", "1", "--fast", "--resolution", "3"],
     "grid-one-cpu": ["grid", "--seed", "1", "--fast", "--resolution", "3"],
+    "grid-m3": ["grid", "--config", "m3.json", "--seed", "1", "--fast", "--resolution", "3"],
     "simulate-solvent": ["simulate", "--seed", "1", *SOLVENT, "--paths", "10"],
     "simulate-bankrupt": ["simulate", "--seed", "1", *BANKRUPT, "--paths", "10"],
     "analyze": ["analyze", "--seed", "1", "--fast", *SOLVENT],
@@ -88,6 +91,7 @@ def digests(src: Path, workdir: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     one_cpu = {min(os.sched_getaffinity(0))}
     (workdir / "two-paths.json").write_text('{"n_paths": 2}')  # analyze-all-bankrupt's config
+    (workdir / "m3.json").write_text('{"market": "M3"}')  # grid-m3's config
     lines = []
     for name, argv in RUNS.items():
         outdir = workdir / name
