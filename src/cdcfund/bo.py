@@ -42,6 +42,39 @@ _ACQ_STREAM = 2**62 + 1
 
 _BOX = np.asarray(OMEGA, dtype=float)  # row j: bounds of coordinate j
 
+_RSQRT2 = math.sqrt(0.5)  # 1/sqrt(2) rounded to the nearest double
+_RSQRT2_LO = -4.833646656726457e-17  # 1/sqrt(2) - _RSQRT2, computed at 50 digits
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into a 26-bit high part and the rest."""
+    t = a * 134217729.0  # 2**27 + 1
+    high = t - (t - a)
+    return high, a - high
+
+
+_RSQRT2_HI, _RSQRT2_MID = _split(_RSQRT2)
+
+
+def _normal_cdf(x):
+    """Standard normal CDF ``erfc(-x/sqrt(2)) / 2``, to about 1e-15 relative.
+
+    Where ``erfc``'s argument ``w`` is positive (``x < 0``), an error ``dw`` in
+    it moves the result by ``2 w dw`` relative, up to 1.6e-13 at ``x = -38``
+    if ``w`` were simply rounded. So ``dw`` is computed exactly (Dekker's
+    product with the two-part constant) and corrected to first order.
+    """
+    x = np.asarray(x, dtype=float)
+    product = x * _RSQRT2
+    x_hi, x_lo = _split(x)
+    product_error = ((x_hi * _RSQRT2_HI - product) + x_hi * _RSQRT2_MID
+                     + x_lo * _RSQRT2_HI) + x_lo * _RSQRT2_MID
+    w = -product
+    dw = -(product_error + x * _RSQRT2_LO)  # -x/sqrt(2) = w + dw
+    cdf = 0.5 * np.asarray(_erfc(w), dtype=float)
+    return np.where(w > 0.0, cdf * (1.0 - 2.0 * w * dw), cdf)
+
 
 @dataclass(frozen=True)
 class BoConfig:
@@ -132,25 +165,21 @@ def expected_improvement(model: GpModel, x, f_star: float):
     ``sigma * pdf(zscore) + (mean - f_star) * cdf(zscore)``; degenerates to
     ``max(mean - f_star, 0)`` where the posterior deviation vanishes.
     """
-    from scipy.special import ndtr  # deferred: keeps `import cdcfund` light
-
     mean, std = map(np.asarray, posterior(model, x))
     gap = mean - f_star
     safe_std = np.where(std > 1e-12, std, 1.0)
     zscore = gap / safe_std
     pdf = np.exp(-0.5 * zscore * zscore) / math.sqrt(2.0 * math.pi)
-    ei = np.where(std > 1e-12, safe_std * pdf + gap * ndtr(zscore), np.maximum(gap, 0.0))
+    ei = np.where(std > 1e-12, safe_std * pdf + gap * _normal_cdf(zscore), np.maximum(gap, 0.0))
     return float(ei) if ei.ndim == 0 else ei
 
 
 def probability_of_solvency(margin_model: GpModel, x):
     """Posterior probability that the solvency margin is positive at ``x``;
     an indicator where the posterior deviation vanishes."""
-    from scipy.special import ndtr
-
     mean, std = map(np.asarray, posterior(margin_model, x))
     safe_std = np.where(std > 1e-12, std, 1.0)
-    prob = np.where(std > 1e-12, ndtr(mean / safe_std), (mean > 0.0).astype(float))
+    prob = np.where(std > 1e-12, _normal_cdf(mean / safe_std), (mean > 0.0).astype(float))
     return float(prob) if prob.ndim == 0 else prob
 
 

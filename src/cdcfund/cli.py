@@ -13,13 +13,13 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import ir_roughness_batch, tail_cdf_points, welfare_rows
@@ -218,12 +218,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CSV_AS_IS = {str, int, type(None)}  # csv.writer writes these as _fmt would
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``rows`` under ``header``. Python floats (rows built with
+    ``ndarray.tolist()``), strings, ints and None, the bulk of every file,
+    skip the general formatter."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(
+            ["%.17g" % v if type(v) is float else v if type(v) in _CSV_AS_IS else _fmt(v)
+             for v in row]
+            for row in rows
+        )
 
 
 def _json(payload, indent=None) -> str:
@@ -345,13 +354,13 @@ def _analysis_outputs(config: ExperimentConfig, policy: PolicyParams, outdir: Pa
     _write_csv(
         funding_path,
         FUNDING_HEADER,
-        [(m, m / spy, mean_ratio[m]) for m in range(mean_ratio.size)],
+        [(m, m / spy, ratio) for m, ratio in enumerate(mean_ratio.tolist())],
     )
 
     cdf_rows = []
     for i in generations:
         for plan, values in (("CDC", cdc_by_gen[i]), ("IDC", idc_terms[i])):
-            for benefit, cdf in tail_cdf_points(values, config.tail_fraction):
+            for benefit, cdf in tail_cdf_points(values, config.tail_fraction).tolist():
                 cdf_rows.append((i, plan, benefit, cdf))
     cdf_path = outdir / "cdf_tail.csv"
     _write_csv(cdf_path, CDF_HEADER, cdf_rows)
@@ -383,24 +392,22 @@ def _trajectory_output(spec: ObjectiveSpec, policy: PolicyParams, outdir: Path) 
     spy = cfg.steps_per_year
     birth_month = (TRACKED_GENERATION - cfg.n_generations) * spy
     life = cfg.n_generations * spy
-    ratios = batch.assets / batch.liabilities
+    assets = batch.assets.tolist()
+    liabilities = batch.liabilities.tolist()
+    ratios = (batch.assets / batch.liabilities).tolist()
+    cdc_tracked = batch.account_trajectories[TRACKED_GENERATION].tolist()
+    idc_tracked = idc_traj[TRACKED_GENERATION].tolist()
 
     rows = []
     for p in range(n_paths):
-        cdc_traj = batch.account_trajectories[TRACKED_GENERATION][p]
         for m in range(cfg.n_steps + 1):
             local = m - birth_month
-            b41 = cdc_traj[local] if 0 <= local <= life else None
-            b41 = None if b41 is not None and np.isnan(b41) else b41
-            rows.append(
-                ("CDC", p, m, batch.assets[p, m], batch.liabilities[p, m],
-                 ratios[p, m], b41)
-            )
+            b41 = cdc_tracked[p][local] if 0 <= local <= life else None
+            b41 = None if b41 is not None and math.isnan(b41) else b41
+            rows.append(("CDC", p, m, assets[p][m], liabilities[p][m], ratios[p][m], b41))
         for local in range(life + 1):
-            rows.append(
-                ("IDC", p, birth_month + local, idc_traj[TRACKED_GENERATION][p, local],
-                 None, None, idc_traj[TRACKED_GENERATION][p, local])
-            )
+            rows.append(("IDC", p, birth_month + local, idc_tracked[p][local],
+                         None, None, idc_tracked[p][local]))
     path = outdir / "trajectory.csv"
     _write_csv(path, TRAJECTORY_HEADER, rows)
     return path
@@ -424,7 +431,6 @@ def run_cell(config: ExperimentConfig, outdir: Path, trajectory_paths: int = 10)
         "versions": {
             "cdcfund": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "stages": {},

@@ -13,7 +13,7 @@ from cdcfund.bo import (
     probability_of_solvency,
     run_bo,
 )
-from cdcfund.bo import _argmax_acquisition
+from cdcfund.bo import _argmax_acquisition, _normal_cdf
 from cdcfund.fund import FundConfig, PolicyParams
 from cdcfund.gp import GpModel, Matern52Kernel, build_model, fit
 from cdcfund.market import preset_market
@@ -115,6 +115,36 @@ class TestExpectedImprovement:
         q = rng.uniform(size=(500, 2))
         ei = expected_improvement(model, q, f_star=float(f.max()))
         assert np.all(ei >= 0.0)
+
+
+class TestNormalCdf:
+    # Phi(x) computed once with mpmath at 50 significant digits
+    # (mpmath.ncdf under mp.dps = 50), rounded here to 20
+    REFERENCE = (
+        (-38.0, 2.8854283600687843084e-316),
+        (-20.0, 2.7536241186062336951e-89),
+        (-10.0, 7.619853024160526066e-24),
+        (-5.0, 2.8665157187919391167e-7),
+        (-1.0, 1.5865525393145705141e-1),
+        (-1e-3, 4.9960105778608893741e-1),
+        (0.0, 0.5),
+        (0.5, 6.9146246127401310364e-1),
+        (3.0, 9.9865010196836990547e-1),
+        (8.0, 9.999999999999993779e-1),
+    )
+
+    @pytest.mark.parametrize("x, phi", REFERENCE)
+    def test_matches_high_precision_reference(self, x, phi):
+        assert float(_normal_cdf(x)) == pytest.approx(phi, rel=1e-14, abs=0.0)
+
+    def test_vectorized_equals_scalar(self):
+        xs = np.array([x for x, _ in self.REFERENCE])
+        assert np.array_equal(_normal_cdf(xs), [float(_normal_cdf(x)) for x in xs])
+
+    def test_symmetry(self):
+        x = np.linspace(-40.0, 40.0, 16001)
+        total = _normal_cdf(x) + _normal_cdf(-x)
+        assert np.all(np.abs(total - 1.0) <= 2 * np.spacing(1.0))
 
 
 class TestProbabilityOfSolvency:

@@ -35,15 +35,12 @@ TINY = """
 """
 
 
-def test_cli_import_defers_scipy_stats_and_special():
-    # scipy.stats alone takes about a second to import; commands that never
-    # optimize must not pay for it, nor for scipy.linalg, which only the GP
-    # uses, nor for the process pool, which only grid starts
+def test_cli_import_defers_the_process_pool():
+    # only grid starts worker processes; no other command pays for the pool
     env = dict(os.environ, PYTHONPATH=str(Path(cdcfund.__file__).resolve().parents[1]))
     code = (
         "import sys, cdcfund.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg', "
-        "'multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
@@ -66,18 +63,24 @@ def test_grid_bytes_do_not_depend_on_the_cpu_count(tmp_path):
     assert runs["one-cpu"] == runs["all"]
 
 
-def test_optimize_leaves_scipy_stats_unimported(tmp_path):
-    # the optimizer draws its own candidates; no command pays for scipy.stats
+def test_run_cell_imports_only_numpy_and_the_standard_library(tmp_path):
+    # the dependency fence: a whole experiment cell (optimizer, GP, analysis,
+    # every artifact) needs no third-party package but numpy. Modules that the
+    # import system did not load (no __spec__, such as the Cython runtime
+    # that numpy's extensions register) are not packages and are skipped.
     (tmp_path / "cfg.json").write_text(TINY)
     env = dict(os.environ, PYTHONPATH=str(Path(cdcfund.__file__).resolve().parents[1]))
     code = (
-        "import sys, cdcfund.cli; "
-        "cdcfund.cli.main(['optimize', '--config', 'cfg.json', '--output-dir', 'out']); "
-        "print('scipy.stats' in sys.modules)"
+        "import sys; before = set(sys.modules); import cdcfund.cli; "
+        "cdcfund.cli.main(['run-cell', '--config', 'cfg.json', '--output-dir', 'out']); "
+        "print(' '.join(sorted({name.partition('.')[0] for name, module in sys.modules.items() "
+        "if name not in before and getattr(module, '__spec__', None) is not None})))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "False"
+    imported = set(out.stdout.splitlines()[-1].split())
+    assert {"numpy", "cdcfund"} <= imported
+    assert imported - set(sys.stdlib_module_names) - {"numpy", "cdcfund"} == set()
 
 
 def strict_json(text: str):

@@ -216,6 +216,43 @@ class TestFit:
         kept = build_model(X2, f2, first.kernel, first.noise_variance)
         assert refitted.log_marginal_likelihood >= kept.log_marginal_likelihood - 1e-9
 
+    @staticmethod
+    def exhaustive_search(X, f, prior_mean):
+        """The first grid candidate of the largest likelihood, by a plain
+        :func:`build_model` loop."""
+        best = None
+        for h in DEFAULT_LENGTH_SCALES:
+            for noise in DEFAULT_NOISE_LEVELS:
+                model = build_model(X, f, Matern52Kernel(float(h)), float(noise), prior_mean)
+                if best is None or model.log_marginal_likelihood > best.log_marginal_likelihood:
+                    best = model
+        return best
+
+    @staticmethod
+    def design(n, seed, near_duplicates=False):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, 2))
+        if near_duplicates:
+            X[n // 2:] = X[: n - n // 2] + rng.normal(scale=1e-9, size=(n - n // 2, 2))
+        f = np.sin(6 * X[:, 0]) * X[:, 1] + 0.05 * rng.normal(size=n)
+        return X, f
+
+    @pytest.mark.parametrize("prior_mean", [None, -1.5])
+    @pytest.mark.parametrize(
+        "n, near_duplicates", [(1, False), (2, False), (5, False), (30, False), (60, False),
+                               (99, False), (40, True)],
+    )
+    def test_equals_exhaustive_search(self, n, near_duplicates, prior_mean):
+        X, f = self.design(n, seed=100 + n, near_duplicates=near_duplicates)
+        model = fit(X, f, prior_mean=prior_mean)
+        reference = self.exhaustive_search(X, f, prior_mean)
+        assert (model.kernel.length_scale, model.noise_variance) == (
+            reference.kernel.length_scale, reference.noise_variance)
+        assert model.log_marginal_likelihood == reference.log_marginal_likelihood
+        query = np.random.default_rng(n).uniform(size=(64, 2))
+        for got, want in zip(posterior(model, query), posterior(reference, query)):
+            assert np.array_equal(got, want)
+
     def test_fit_failure_when_all_candidates_fail(self, monkeypatch):
         monkeypatch.setattr("cdcfund.gp.DEFAULT_NOISE_LEVELS", (0.0,))
         X = np.array([[0.5, 0.5], [0.5, 0.5]])
