@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import MarketParams, _check_integer, _increment_coefficients
+from .market import MarketParams, _check_integer, _increment_coefficients, _summed_rows, _year_growth
 
 __all__ = [
     "OMEGA",
@@ -352,20 +352,15 @@ def simulate_batch(
                     asset_year[k] *= assets
                     np.multiply(liabilities, factor, out=liab_year[k])
 
-        # the year step: two fixed-order sums over the year's draws
-        np.copyto(z_sum, year[0])
+        # the year step: two fixed-order sums over the year's draws, in one pass
         np.multiply(log_ratio, x0_weight, out=credit)
-        for k, z in enumerate(year):
-            if k:
-                z_sum += z
+        for k, z in enumerate(_summed_rows(year, z_sum)):
             if k < spy - 1:  # the last draw does not reach the year's crediting
                 np.multiply(z, z_weights[k], out=term)
                 credit += term
         credit += year_drift
         np.exp(credit, out=credit)
-        z_sum *= scale
-        z_sum += year_drift
-        assets *= np.exp(z_sum, out=z_sum)
+        assets *= _year_growth(z_sum, year_drift, scale)
         liabilities *= credit
         np.multiply(retiring, credit, out=benefit)
         cum_credit *= credit

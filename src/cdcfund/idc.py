@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fund import FundConfig, _path_count
-from .market import MarketParams, growth_factors
+from .fund import FundConfig, _path_count, _store_year
+from .market import MarketParams, _increment_coefficients, _summed_rows, _year_growth
 
 __all__ = ["idc_terminal_benefits", "idc_trajectories"]
 
@@ -24,15 +24,23 @@ def _check_generation(generation: int, cfg: FundConfig) -> None:
         )
 
 
-def _simulate_window(generation, cfg, pi, mkt, normals) -> np.ndarray:
+def _annual_growth(rows: np.ndarray, drift: float, scale: float, out: np.ndarray) -> np.ndarray:
+    """The market's growth over the year of ``(steps, n_paths)`` draw ``rows``, in ``out``."""
+    for _ in _summed_rows(rows, out):
+        pass
+    return _year_growth(out, len(rows) * drift, scale)
+
+
+def _simulate_window(generation, cfg, drift, scale, normals) -> np.ndarray:
     """Account values of one generation, ``(n_paths, n * steps_per_year + 1)``.
 
-    Samples at year boundaries are taken before the contribution, matching
-    the fund's tracked-account convention; the first sample is the opening
-    contribution and the last is the retirement benefit. As in the fund, each
-    year's growth factors and values are path-contiguous rows of reused
-    ``(steps_per_year, n_paths)`` buffers, and the values are copied into the
-    row-major result once a year.
+    Samples at year boundaries are taken before the contribution, as the
+    fund's tracked accounts are; the first is the opening contribution and
+    the last the retirement benefit. Like the fund's recorded asset, an inner
+    step's sample is the start-of-year account times ``exp`` of the running
+    log-return, and the year-end sample that account times the year's growth
+    factor. Each year fills a ``(steps_per_year, n_paths)`` buffer, copied
+    into the row-major result once a year.
     """
     spy = cfg.steps_per_year
     n = cfg.n_generations
@@ -41,17 +49,19 @@ def _simulate_window(generation, cfg, pi, mkt, normals) -> np.ndarray:
     values = np.empty((n_paths, n * spy + 1))
     values[:, 0] = cfg.y
     account = np.full(n_paths, cfg.y)
-    growth = np.empty((spy, n_paths))
+    growth = np.empty(n_paths)
     year = np.empty((spy, n_paths))
     for k in range(n):
-        t = birth + k
-        growth_factors(mkt, pi, cfg.dt, normals[:, t * spy : (t + 1) * spy].T, out=growth)
-        for step in range(spy):
-            account *= growth[step]
-            year[step] = account
-        values[:, k * spy + 1 : (k + 1) * spy + 1] = year.T
-        if k + 1 < n:
-            account += cfg.y
+        rows = normals[:, (birth + k) * spy : (birth + k + 1) * spy].T
+        np.multiply(rows[:-1], scale, out=year[:-1])
+        year[:-1] += drift
+        for step in range(1, spy - 1):  # the running sum in step order
+            year[step] += year[step - 1]
+        np.exp(year[:-1], out=year[:-1])
+        year[:-1] *= account
+        np.multiply(account, _annual_growth(rows, drift, scale, growth), out=year[-1])
+        _store_year(values, year, k * spy + 1, None)
+        np.add(year[-1], cfg.y, out=account)
     return values
 
 
@@ -66,30 +76,27 @@ def idc_terminal_benefits(
 
     Row ``p`` of ``normals``, the ``(n_paths, n_steps)`` draw matrix that
     :func:`~cdcfund.fund.simulate_batch` takes, drives path ``p``. Computed
-    from annual cumulative market growth factors: the benefit of generation
-    ``i`` is ``y * sum_j C(i)/C(j)`` over its contribution years ``j``, where
-    ``C(t)`` is the cumulative growth from time 0 to year ``t``.
+    from the annual growth factors that the fund's asset grows by: the
+    benefit of generation ``i`` is ``y * sum_j C(i)/C(j)`` over its
+    contribution years ``j``, where ``C(t)`` is the cumulative growth from
+    time 0 to year ``t``.
     """
+    drift, scale = _increment_coefficients(mkt, pi, cfg.dt)
     generations = tuple(generations)
     for i in generations:
         _check_generation(i, cfg)
     n_paths = _path_count(cfg, normals)
     spy = cfg.steps_per_year
-    # annual[t] is the market growth over year t+1, built one year of draws
-    # at a time; rows are years, columns paths
+    # annual[t] is the market growth over year t+1; rows are years, columns paths
     annual = np.empty((cfg.horizon, n_paths))
     for t in range(cfg.horizon):
-        growth = growth_factors(mkt, pi, cfg.dt, normals[:, t * spy : (t + 1) * spy].T)
-        np.prod(growth, axis=0, out=annual[t])
+        _annual_growth(normals[:, t * spy : (t + 1) * spy].T, drift, scale, annual[t])
     cum = np.concatenate([np.ones((1, n_paths)), np.cumprod(annual, axis=0)])  # C(0..horizon)
     # s[j+1] = sum_{u<=j} 1/C(u), s[0] = 0
     s = np.concatenate([np.zeros((1, n_paths)), np.cumsum(1.0 / cum, axis=0)])
     n = cfg.n_generations
-    out = {}
-    for i in generations:
-        contrib_sum = s[i] - s[i - n]  # years i-n .. i-1
-        out[i] = cfg.y * cum[i] * contrib_sum
-    return out
+    # the contributions of years i-n .. i-1
+    return {i: cfg.y * cum[i] * (s[i] - s[i - n]) for i in generations}
 
 
 def idc_trajectories(
@@ -102,11 +109,13 @@ def idc_trajectories(
     """Per-step account values of the given generations across paths.
 
     Row ``p`` of each array runs on row ``p`` of ``normals``, the market
-    path of the fund simulation on the same matrix: both grow by the exact
-    log-returns of the same draws, the fund a year at a time and these
-    accounts step by step.
+    path of the fund simulation on the same matrix: over each year both grow
+    by the same factor of that year's draws, bit for bit, and the samples
+    inside a year follow the exact per-step log-returns, as the fund's
+    recorded asset does.
     """
+    drift, scale = _increment_coefficients(mkt, pi, cfg.dt)
     for i in generations:
         _check_generation(i, cfg)
     _path_count(cfg, normals)
-    return {i: _simulate_window(i, cfg, pi, mkt, normals) for i in generations}
+    return {i: _simulate_window(i, cfg, drift, scale, normals) for i in generations}

@@ -13,8 +13,6 @@ __all__ = [
     "MARKET_PRESETS",
     "preset_market",
     "expected_log_return",
-    "log_return_increment",
-    "growth_factors",
     "RandomStream",
     "normal_matrix",
 ]
@@ -86,41 +84,33 @@ def expected_log_return(mkt: MarketParams, pi: float) -> float:
 
 
 def _increment_coefficients(mkt: MarketParams, pi: float, dt: float) -> tuple[float, float]:
-    """Drift and draw coefficient of the one-step log-return; raises for
-    ``pi < 0`` or ``dt <= 0``."""
+    """Drift and draw coefficient of the exact one-step log-return ``drift +
+    scale * z`` at a validated ``dt``; raises unless ``pi`` is finite and >= 0."""
+    if not math.isfinite(pi):
+        raise ValueError(f"pi must be finite, got {pi}")
     if pi < 0.0:
-        raise ValueError(f"short selling is not allowed: pi={pi}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise ValueError(f"pi must be >= 0 (short selling is not allowed), got {pi}")
     return expected_log_return(mkt, pi) * dt, pi * mkt.sigma * math.sqrt(dt)
 
 
-def log_return_increment(mkt: MarketParams, pi: float, dt: float, z):
-    """Exact log-return of a constant-mix portfolio over one step of length ``dt``.
-
-    ``z`` is a standard-normal draw (scalar or array). The increment is exactly
-    Gaussian because the mix is constant, so there is no discretization bias:
-    multiplying the portfolio value by ``exp`` of the result advances it one step.
-
-    Raises ValueError for ``pi < 0`` (short positions are not allowed) or
-    non-positive ``dt``.
-    """
-    drift, scale = _increment_coefficients(mkt, pi, dt)
-    return drift + scale * z
+def _summed_rows(year: np.ndarray, z_sum: np.ndarray):
+    """Yield the rows of a ``(steps, n_paths)`` year of draws in step order,
+    adding each into ``z_sum`` element-wise, so that callers can fuse their
+    own per-row work into the pass that forms ``sum_k z_k``."""
+    np.copyto(z_sum, year[0])
+    yield year[0]
+    for z in year[1:]:
+        z_sum += z
+        yield z
 
 
-def growth_factors(
-    mkt: MarketParams, pi: float, dt: float, z: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-step multiplicative growth factors exp(log-return) for draws ``z``.
-
-    With ``out`` the factors are computed in place in that array (of ``z``'s
-    shape), which is returned; the bits equal the allocating form's.
-    """
-    drift, scale = _increment_coefficients(mkt, pi, dt)
-    out = np.multiply(z, scale, out=out)
-    out += drift
-    return np.exp(out, out=out)
+def _year_growth(z_sum: np.ndarray, year_drift: float, scale: float) -> np.ndarray:
+    """The portfolio's growth over a year, ``exp(year_drift + scale * z_sum)``,
+    in place, for the sum of :func:`_summed_rows` and ``year_drift = steps *
+    drift``: the factor of both the fund's asset and the benchmark accounts."""
+    z_sum *= scale
+    z_sum += year_drift
+    return np.exp(z_sum, out=z_sum)
 
 
 class RandomStream:
@@ -163,6 +153,8 @@ def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     array; callers that score many policies on the same draws keep it (an
     :class:`~cdcfund.objective.ObjectiveSpec` owns its matrix).
     """
+    _check_integer("n_paths", n_paths)
+    _check_integer("n_steps", n_steps)
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     if n_steps < 1:

@@ -5,7 +5,8 @@ The package simulates the fund in one vectorized engine,
 straightforward state machine the tests check that engine against: every
 account is a dictionary entry, every inner step and every year-boundary jump
 is its own function, and the declaration rate is recomputed from the state at
-each step. Beside it are :func:`simulate_path_year_step`, the same fund a
+each step; :func:`log_return_increment` is the exact one-step log-return its
+asset grows by. Beside it are :func:`simulate_path_year_step`, the same fund a
 year at a time in log space with plain Python floats, the scalar form of the
 engine's arithmetic; :func:`longdouble_payments`, the state machine in
 ``np.longdouble``, against which both float64 arithmetics are measured;
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cdcfund.fund import FundConfig, PolicyParams, entry_cohort_account
-from cdcfund.market import MarketParams, RandomStream, expected_log_return, log_return_increment
+from cdcfund.market import MarketParams, RandomStream, expected_log_return
 
 
 @dataclass
@@ -81,6 +82,16 @@ def declaration_rate(state: FundState, policy: PolicyParams, mkt: MarketParams) 
     return expected_log_return(mkt, policy.pi) + policy.theta * math.log(
         state.assets / state.liabilities
     )
+
+
+def log_return_increment(mkt: MarketParams, pi: float, dt: float, z):
+    """Exact log-return of a constant-mix portfolio over one step of length ``dt``.
+
+    ``z`` is a standard-normal draw (scalar or array). The increment is exactly
+    Gaussian because the mix is constant, so there is no discretization bias:
+    multiplying the portfolio value by ``exp`` of the result advances it one step.
+    """
+    return expected_log_return(mkt, pi) * dt + pi * mkt.sigma * math.sqrt(dt) * z
 
 
 def step_month(

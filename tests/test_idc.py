@@ -5,11 +5,30 @@ import pytest
 
 from cdcfund.fund import FundConfig, PolicyParams, simulate_batch
 from cdcfund.idc import idc_terminal_benefits, idc_trajectories
-from cdcfund.market import MarketParams, RandomStream, growth_factors, normal_matrix, preset_market
+from cdcfund.market import (
+    MarketParams,
+    RandomStream,
+    expected_log_return,
+    normal_matrix,
+    preset_market,
+)
 from draws import draws
 
 M1 = preset_market("M1")
 CFG = FundConfig()
+
+
+def annual_factors(normals, pi, mkt=M1, cfg=CFG):
+    """``exp(spy * drift + scale * sum_k z_k)`` per path (rows) and year
+    (columns), each year's draws added in step order."""
+    spy = cfg.steps_per_year
+    z = normals.reshape(len(normals), cfg.horizon, spy)
+    z_sum = z[:, :, 0].copy()
+    for k in range(1, spy):
+        z_sum += z[:, :, k]
+    drift = expected_log_return(mkt, pi) * cfg.dt
+    scale = pi * mkt.sigma * math.sqrt(cfg.dt)
+    return np.exp(z_sum * scale + spy * drift)
 
 
 def single_account(generation, pi, mkt, stream):
@@ -38,13 +57,26 @@ class TestDeterministicOracles:
 
 
 class TestCommonRandomNumbers:
-    def test_market_increments_bit_identical_to_fund(self):
-        # fund asset and benchmark account share the growth-factor pipeline
-        normals = normal_matrix(3, 2, CFG.n_steps)
-        pi = 0.7
-        fund_growth = growth_factors(M1, pi, CFG.dt, normals)
-        idc_growth = growth_factors(M1, pi, CFG.dt, normals[:, 0:480])
-        assert np.array_equal(fund_growth[:, 0:480], idc_growth)
+    @pytest.mark.parametrize("market, pi, theta, dt", [
+        ("M1", 0.865, 0.345, 1 / 12), ("M2", 0.5, 0.9, 1 / 52), ("M3", 0.3, 0.5, 1.0),
+    ])
+    def test_fund_asset_and_account_grow_by_one_annual_factor(self, market, pi, theta, dt):
+        # over each solvent year the fund's recorded asset, from its
+        # post-jump value, and generation 60's account, from its value after
+        # the contribution, grow by the same factor of that year's draws
+        cfg, mkt = FundConfig(dt=dt), preset_market(market)
+        normals = normal_matrix(3, 8, cfg.n_steps)
+        batch = simulate_batch(cfg, PolicyParams(pi, theta), mkt, normals, record_state=True)
+        values = idc_trajectories(cfg, pi, mkt, normals, generations=(60,))[60]
+        assert not batch.any_bankruptcy
+        factors = annual_factors(normals, pi, mkt, cfg)
+        spy, n = cfg.steps_per_year, cfg.n_generations
+        t = np.arange(21, 60)  # the account's years after its first
+        post_jump = batch.assets[:, t * spy] + (n * cfg.y - batch.payments[:, t - 1])
+        assert np.array_equal(batch.assets[:, (t + 1) * spy], post_jump * factors[:, t])
+        k = t - 20
+        start = values[:, k * spy] + cfg.y
+        assert np.array_equal(values[:, (k + 1) * spy], start * factors[:, t])
 
     def test_single_path_consumes_matrix_row(self):
         values = single_account(41, 0.5, M1, RandomStream(3, 1))
@@ -65,13 +97,11 @@ class TestCommonRandomNumbers:
         assert np.array_equal(c[41], d[41])
 
     def test_annual_factors_match_full_growth_matrix(self):
-        # year-by-year products equal the products over a whole-horizon
-        # growth matrix, bit for bit: the benefit of the generation retiring
-        # at the horizon is rebuilt from that matrix
+        # the benefit of the generation retiring at the horizon is rebuilt,
+        # bit for bit, from the annual factors of the whole draw matrix
         normals = np.ascontiguousarray(normal_matrix(9, 20, CFG.n_steps))
         pi = 1.3
-        growth = growth_factors(M1, pi, CFG.dt, normals)
-        annual = growth.reshape(20, CFG.horizon, CFG.steps_per_year).prod(axis=2)
+        annual = annual_factors(normals, pi)
         cum = np.concatenate([np.ones((20, 1)), np.cumprod(annual, axis=1)], axis=1)
         s = np.concatenate([np.zeros((20, 1)), np.cumsum(1.0 / cum, axis=1)], axis=1)
         expected = CFG.y * cum[:, 100] * (s[:, 100] - s[:, 60])
@@ -111,6 +141,15 @@ class TestAccountShape:
             idc_trajectories(CFG, 0.5, M1, normals, generations=(41,))
         with pytest.raises(ValueError, match="normals must have shape"):
             idc_terminal_benefits(CFG, 0.5, M1, normals, generations=(41,))
+
+    @pytest.mark.parametrize("pi", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("generations", [(), (41,)])
+    def test_pi_validated_before_any_work(self, pi, generations):
+        # checked ahead of the generations and of the draws, here misshapen
+        normals = np.empty((0, 3))
+        for benchmark in (idc_terminal_benefits, idc_trajectories):
+            with pytest.raises(ValueError, match="^pi must be"):
+                benchmark(CFG, pi, M1, normals, generations=generations)
 
     def test_generation_window_validated(self):
         with pytest.raises(ValueError, match="generation"):

@@ -2,19 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from cdcfund.fund import FundConfig
+from cdcfund.idc import idc_terminal_benefits, idc_trajectories
 from cdcfund.market import (
-    MARKET_PRESETS,
     MarketParams,
     RandomStream,
     expected_log_return,
-    growth_factors,
-    log_return_increment,
     normal_matrix,
     preset_market,
 )
+from reference_fund import log_return_increment
 
 
 class TestPresets:
@@ -50,33 +48,45 @@ class TestPresets:
 
 
 class TestLogReturnIncrement:
+    """The one-step log-return ``expected_log_return(mkt, pi) * dt + pi *
+    sigma * sqrt(dt) * z`` of a constant-mix portfolio, through the entry
+    points that take ``pi`` and ``dt``."""
+
     def test_riskless_is_exact(self):
-        # pi = 0 removes the drift excess and the diffusion entirely, leaving
-        # the exact product r * dt
+        # pi = 0 removes the drift excess and the diffusion entirely: an
+        # account takes the same values whatever its draws
         mkt = preset_market("M1")
-        for z in (-3.0, 0.0, 1.7):
-            assert log_return_increment(mkt, 0.0, 1 / 12, z) == mkt.r * (1 / 12)
+        assert expected_log_return(mkt, 0.0) == mkt.r
+        normals = np.stack([np.full(FundConfig().n_steps, z) for z in (-3.0, 0.0, 1.7)])
+        values = idc_trajectories(FundConfig(), 0.0, mkt, normals, generations=(41,))[41]
+        assert (values == values[0]).all()
 
     def test_full_risky_drift(self):
         # hand evaluation: 0.065 - 0.5 * 0.15**2
         mkt = preset_market("M1")
-        assert log_return_increment(mkt, 1.0, 1.0, 0.0) == pytest.approx(0.053750, abs=1e-12)
+        assert expected_log_return(mkt, 1.0) == pytest.approx(0.053750, abs=1e-12)
 
     def test_mixed_drift(self):
         # hand evaluation: 0.3*0.045 + 0.02 - 0.5*0.09*0.0225
         mkt = preset_market("M1")
-        assert log_return_increment(mkt, 0.3, 1.0, 0.0) == pytest.approx(0.0324875, abs=1e-12)
         assert expected_log_return(mkt, 0.3) == pytest.approx(0.0324875, abs=1e-12)
 
     def test_rejects_short_position(self):
-        with pytest.raises(ValueError, match="short"):
-            log_return_increment(preset_market("M1"), -0.1, 1 / 12, 0.0)
+        cfg, mkt = FundConfig(), preset_market("M1")
+        normals = normal_matrix(0, 2, cfg.n_steps)
+        with pytest.raises(ValueError, match="short selling"):
+            idc_terminal_benefits(cfg, -0.1, mkt, normals, generations=(41,))
+        with pytest.raises(ValueError, match="short selling"):
+            idc_trajectories(cfg, -0.1, mkt, normals, generations=(41,))
 
     def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            log_return_increment(preset_market("M1"), 0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^dt"):
+            FundConfig(dt=0.0)
+        with pytest.raises(ValueError, match="^dt"):
+            FundConfig(dt=-1 / 12)
 
     def test_sample_mean_converges(self):
+        # the scalar reference model's step
         mkt = preset_market("M2")
         pi = 0.7
         z = RandomStream(123, 0).normals(1_000_000)
@@ -86,35 +96,18 @@ class TestLogReturnIncrement:
         assert abs(increments.mean() - target) < 4 * stderr
 
     def test_riskless_path_deterministic(self):
+        # an account at pi = 0 compounds every contribution at exactly r
         mkt = preset_market("M1")
-        z = RandomStream(5, 0).normals(1200)
-        path = np.cumprod(growth_factors(mkt, 0.0, 1 / 12, z))
-        years = np.arange(1, 1201) / 12
-        assert np.allclose(path, np.exp(mkt.r * years), rtol=1e-12)
-
-
-class TestGrowthFactors:
-    @given(
-        pi=st.floats(0.0, 3.0),
-        dt=st.sampled_from([1 / 52, 1 / 12, 1 / 4, 1.0]),
-        market=st.sampled_from(sorted(MARKET_PRESETS)),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_in_place_form_bit_identical(self, pi, dt, market):
-        # one year block of time-major draws, as the simulators pass it
-        mkt = preset_market(market)
-        z = normal_matrix(1, 64, 24)[:, 12:24].T
-        out = np.full(z.shape, np.nan)
-        assert growth_factors(mkt, pi, dt, z, out=out) is out
-        assert np.array_equal(out, np.exp(log_return_increment(mkt, pi, dt, z)))
-        assert np.array_equal(out, growth_factors(mkt, pi, dt, z))
-
-    def test_in_place_form_keeps_checks(self):
-        mkt, out = preset_market("M1"), np.empty(3)
-        with pytest.raises(ValueError, match="short selling"):
-            growth_factors(mkt, -0.1, 1 / 12, np.zeros(3), out=out)
-        with pytest.raises(ValueError, match="dt"):
-            growth_factors(mkt, 0.5, 0.0, np.zeros(3), out=out)
+        cfg = FundConfig()
+        normals = normal_matrix(5, 1, cfg.n_steps)
+        values = idc_trajectories(cfg, 0.0, mkt, normals, generations=(41,))[41][0]
+        steps = np.arange(1, values.size)
+        expected = sum(
+            np.where(steps > 12 * j, np.exp(mkt.r * (steps - 12 * j) / 12), 0.0)
+            for j in range(40)
+        )
+        assert values[0] == cfg.y
+        assert np.allclose(values[1:], expected, rtol=1e-12)
 
 
 class TestRandomStream:
@@ -159,10 +152,15 @@ class TestRandomStream:
         assert mat.T.flags.c_contiguous
         assert not mat.flags.writeable and not mat.T.flags.writeable
 
-    def test_matrix_cached_and_readonly(self):
+    def test_matrix_readonly(self):
         a = normal_matrix(11, 3, 20)
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n_paths, n_steps, name", [(2.5, 10, "n_paths"), (3, 10.0, "n_steps")])
+    def test_matrix_rejects_non_integral_counts(self, n_paths, n_steps, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            normal_matrix(0, n_paths, n_steps)
 
     @pytest.mark.parametrize("n_steps", [0, -1])
     def test_matrix_rejects_step_count_below_one(self, n_steps):

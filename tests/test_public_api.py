@@ -20,7 +20,7 @@ PACKAGE = Path(cdcfund.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
 
 TRACED = {
-    "market": ("normal_matrix", "growth_factors"),
+    "market": ("normal_matrix",),
     "fund": ("simulate_batch",),
     "objective": ("value_from_batch",),
     "gp": ("build_model", "fit", "posterior"),
@@ -41,8 +41,6 @@ def test_traced_function_is_in_all(module, name):
 
 # public names that only the tests read, each kept for a reason
 TEST_ONLY = {
-    # the reference state machine's step, and the bit reference of growth_factors
-    ("market", "log_return_increment"),
     # the contract of acceptance criterion 08
     ("objective", "certainty_equivalent_stderr"),
 }
