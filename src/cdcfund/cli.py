@@ -27,7 +27,7 @@ from .bo import BoConfig, BoRecord, BoTrace, run_bo
 from .fund import OMEGA, FundConfig, PolicyParams, simulate_batch
 from .idc import idc_terminal_benefits, idc_trajectories
 from .market import MarketParams, preset_market
-from .objective import ObjectiveSpec, evaluate_policies, evaluate_policy
+from .objective import ObjectiveSpec, evaluate_policies
 
 __all__ = [
     "ConfigError",
@@ -529,7 +529,7 @@ def main(argv=None) -> int:
     outdir = Path(args.output_dir)
 
     if args.command == "evaluate":
-        value = evaluate_policy(PolicyParams(pi=args.pi, theta=args.theta), config.spec)
+        [value] = evaluate_policies([PolicyParams(pi=args.pi, theta=args.theta)], config.spec)
         print(_json({
             "pi": args.pi, "theta": args.theta, "ce": value.ce, "eu": value.eu,
             "eu_stderr": value.eu_stderr, "n_bankrupt": value.n_bankrupt,

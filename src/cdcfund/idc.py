@@ -87,13 +87,18 @@ def idc_terminal_benefits(
         _check_generation(i, cfg)
     n_paths = _path_count(cfg, normals)
     spy = cfg.steps_per_year
-    # annual[t] is the market growth over year t+1; rows are years, columns paths
-    annual = np.empty((cfg.horizon, n_paths))
+    # rows are years, columns paths; both accumulations run row by row, in
+    # the order of np.cumprod and np.cumsum along axis 0 but several times faster
+    cum = np.empty((cfg.horizon + 1, n_paths))  # C(0..horizon)
+    cum[0] = 1.0
     for t in range(cfg.horizon):
-        _annual_growth(normals[:, t * spy : (t + 1) * spy].T, drift, scale, annual[t])
-    cum = np.concatenate([np.ones((1, n_paths)), np.cumprod(annual, axis=0)])  # C(0..horizon)
-    # s[j+1] = sum_{u<=j} 1/C(u), s[0] = 0
-    s = np.concatenate([np.zeros((1, n_paths)), np.cumsum(1.0 / cum, axis=0)])
+        _annual_growth(normals[:, t * spy : (t + 1) * spy].T, drift, scale, cum[t + 1])
+        cum[t + 1] *= cum[t]
+    s = np.empty((cfg.horizon + 2, n_paths))  # s[j+1] = sum_{u<=j} 1/C(u), s[0] = 0
+    s[0] = 0.0
+    for j in range(cfg.horizon + 1):
+        np.divide(1.0, cum[j], out=s[j + 1])
+        s[j + 1] += s[j]
     n = cfg.n_generations
     # the contributions of years i-n .. i-1
     return {i: cfg.y * cum[i] * (s[i] - s[i - n]) for i in generations}

@@ -159,21 +159,28 @@ def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    out = np.empty((n_steps, n_paths))
+    return _normal_rows(seed, 0, n_paths, n_steps)
+
+
+def _normal_rows(seed: int, lo: int, hi: int, n_steps: int) -> np.ndarray:
+    """Rows ``lo .. hi-1`` of ``normal_matrix(seed, n_paths, n_steps)`` for
+    any ``n_paths >= hi``, in the same time-major layout: row ``p - lo`` is
+    stream ``(seed, p)``, so a block of paths can be drawn where it is used."""
+    out = np.empty((n_steps, hi - lo))
     # one Philox generator re-keyed to (seed, p) at counter 0 for each path
     # gives the same draws as a fresh RandomStream(seed, p)
     gen = RandomStream(seed).generator()
     bitgen = gen.bit_generator
     state = bitgen.state
     counter = np.zeros(4, dtype=np.uint64)
-    block = np.empty((min(_PATH_BLOCK, n_paths), n_steps))
-    for start in range(0, n_paths, _PATH_BLOCK):
-        rows = block[: min(_PATH_BLOCK, n_paths - start)]
+    block = np.empty((min(_PATH_BLOCK, hi - lo), n_steps))
+    for start in range(lo, hi, _PATH_BLOCK):
+        rows = block[: min(_PATH_BLOCK, hi - start)]
         for j, row in enumerate(rows):
             key_p = np.array([seed, start + j], dtype=np.uint64)
             state["state"] = {"counter": counter, "key": key_p}
             bitgen.state = state
             gen.standard_normal(out=row)
-        out[:, start : start + len(rows)] = rows.T
+        out[:, start - lo : start - lo + len(rows)] = rows.T
     out.setflags(write=False)
     return out.T

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .fund import FundConfig, PolicyParams, SimulationBatch, simulate_batch
-from .market import MarketParams, _check_integer, _check_uint64, normal_matrix
+from .market import MarketParams, _check_integer, _check_uint64, _normal_rows, normal_matrix
 
 __all__ = [
     "ObjectiveSpec",
@@ -149,41 +149,93 @@ def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue
     return value_from_batch(batch, spec.cfg)
 
 
-_worker_spec: ObjectiveSpec | None = None  # a pool worker's spec, set once at its start
+# paths per block when one policy is scored in blocks: the boundaries depend
+# on n_paths only, so the bits do not depend on the CPU count, and a block's
+# draws at monthly steps over 100 years take 9.6 MB
+_EVAL_BLOCK = 1_000
+
+_worker_fn = None  # a pool worker's function, set once at its start
 
 
-def _adopt_spec(spec: ObjectiveSpec) -> None:
-    global _worker_spec
-    _worker_spec = spec
+def _adopt_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
 
 
-def _evaluate_in_worker(policy: PolicyParams) -> ObjectiveValue:
-    return evaluate_policy(policy, _worker_spec)
+def _call_in_worker(item):
+    return _worker_fn(item)
 
 
-def evaluate_policies(policies, spec: ObjectiveSpec) -> list[ObjectiveValue]:
-    """:func:`evaluate_policy` of each policy on the spec's draws, in order.
+def _fork_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, on one forked worker per CPU of this
+    process's affinity mask (at most one per item).
 
-    The draws are generated once; then one forked worker per CPU of this
-    process's affinity mask (at most one per policy) inherits them and scores
-    one policy at a time. Without ``fork`` or an affinity mask, or with one
-    usable CPU, this process scores them itself; the values are the same. A
-    worker's exception is re-raised here. Like any fork, the pool is unsafe
-    while another thread of this process may hold a lock.
+    The workers inherit ``fn``, and all it refers to, at the fork; each task
+    sends only its item and its result. Without ``fork`` or an affinity mask,
+    or with one usable CPU, this process maps the items itself; the results
+    are the same. A worker's exception is re-raised here, and every worker
+    has exited when this returns. Like any fork, the pool is unsafe while
+    another thread of this process may hold a lock.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    policies = list(policies)
+    items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(policies))
+    workers = min(cpus, len(items))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [evaluate_policy(policy, spec) for policy in policies]
-    spec.normals  # generated once, before any worker starts
-    # under fork the initializer's argument is inherited, not pickled: the
-    # draws are never copied, and each task sends only its policy
+        return [fn(item) for item in items]
+    # under fork the initializer's argument is inherited, not pickled
     with ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_spec, initargs=(spec,),
+        initializer=_adopt_fn, initargs=(fn,),
     ) as pool:
-        return list(pool.map(_evaluate_in_worker, policies, chunksize=1))
+        return list(pool.map(_call_in_worker, items, chunksize=1))
+
+
+def _evaluate_in_blocks(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue:
+    """:func:`evaluate_policy`, bit for bit, with each block of paths drawn and
+    simulated on its own, so no process holds the whole draw matrix.
+
+    A block returns its payments, bankrupt years and margin; the parent puts
+    them back in path order and scores the whole batch once, because the
+    utility's matrix product is not row-invariant.
+    """
+    cfg = spec.cfg
+
+    def simulate_block(lo: int) -> tuple[np.ndarray, np.ndarray, float]:
+        hi = min(lo + _EVAL_BLOCK, spec.n_paths)
+        normals = _normal_rows(spec.seed, lo, hi, cfg.n_steps)
+        batch = simulate_batch(cfg, policy, spec.mkt, normals)
+        return batch.payments, batch.bankrupt_at, batch.solvency_margin
+
+    payments, bankrupt_at, margins = zip(
+        *_fork_map(simulate_block, range(0, spec.n_paths, _EVAL_BLOCK))
+    )
+    payments, bankrupt_at = np.concatenate(payments), np.concatenate(bankrupt_at)
+    n_dead = int(np.count_nonzero(~np.isnan(bankrupt_at)))
+    batch = SimulationBatch(
+        payments=payments, bankrupt_at=bankrupt_at, horizon=cfg.horizon,
+        steps_per_year=cfg.steps_per_year,
+        solvency_margin=-n_dead / spec.n_paths if n_dead else min(margins),
+    )
+    return value_from_batch(batch, cfg)
+
+
+def evaluate_policies(policies, spec: ObjectiveSpec) -> list[ObjectiveValue]:
+    """:func:`evaluate_policy` of each policy on the spec's draws, in order,
+    on every CPU of this process's affinity mask.
+
+    Several policies share the spec's draws: they are generated once, and
+    forked workers that inherit them score one policy at a time. A single
+    policy is scored in fixed blocks of paths instead, each drawn where it
+    is simulated, so the whole draw matrix is never held (and the spec's is
+    not generated). The values are the same on any number of CPUs. A
+    worker's exception is re-raised here.
+    """
+    policies = list(policies)
+    if len(policies) == 1:
+        return [_evaluate_in_blocks(policies[0], spec)]
+    if policies:
+        spec.normals  # generated once, before any worker starts
+    return _fork_map(lambda policy: evaluate_policy(policy, spec), policies)

@@ -10,7 +10,7 @@ import functools
 import weakref
 
 from cdcfund.fund import FundConfig
-from cdcfund.market import normal_matrix
+from cdcfund.market import _normal_rows, normal_matrix
 
 N_STEPS = FundConfig().n_steps
 
@@ -21,15 +21,20 @@ def draws(seed: int, n_paths: int, n_steps: int = N_STEPS):
 
 
 def record_generated(monkeypatch) -> list:
-    """Weak references to every matrix generated from now on through
-    ``cdcfund.objective``'s binding of ``normal_matrix``, the one through
-    which an ``ObjectiveSpec`` gets its draws."""
+    """Weak references to every matrix generated in this process from now on
+    through ``cdcfund.objective``'s bindings of ``normal_matrix`` (the one
+    through which an ``ObjectiveSpec`` gets its draws) and ``_normal_rows``
+    (a path block's draws)."""
     made = []
 
-    def recording(*args):
-        out = normal_matrix(*args)
-        made.append(weakref.ref(out))
-        return out
+    def recording(generate):
+        def wrapper(*args):
+            out = generate(*args)
+            made.append(weakref.ref(out))
+            return out
 
-    monkeypatch.setattr("cdcfund.objective.normal_matrix", recording)
+        return wrapper
+
+    monkeypatch.setattr("cdcfund.objective.normal_matrix", recording(normal_matrix))
+    monkeypatch.setattr("cdcfund.objective._normal_rows", recording(_normal_rows))
     return made

@@ -36,7 +36,7 @@ TINY = """
 
 
 def test_cli_import_defers_the_process_pool():
-    # only grid starts worker processes; no other command pays for the pool
+    # only the commands that start worker processes pay for the pool
     env = dict(os.environ, PYTHONPATH=str(Path(cdcfund.__file__).resolve().parents[1]))
     code = (
         "import sys, cdcfund.cli; "
@@ -47,20 +47,35 @@ def test_cli_import_defers_the_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-def test_grid_bytes_do_not_depend_on_the_cpu_count(tmp_path):
-    # one process pinned to a single CPU scores the lattice serially, the
-    # other on a worker per CPU of its affinity mask
+def _outputs_pinned_and_unpinned(tmp_path, argv, files=()) -> dict:
+    """Stdout and the named output files of one CLI run pinned to a single
+    CPU, which maps in-process, and of one on every CPU of the affinity mask."""
     env = dict(os.environ, PYTHONPATH=str(Path(cdcfund.__file__).resolve().parents[1]))
     one_cpu = {min(os.sched_getaffinity(0))}
     runs = {}
     for name, pin in (("one-cpu", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
         proc = subprocess.run(
-            [sys.executable, "-m", "cdcfund.cli", "grid", "--fast", "--resolution", "3",
-             "--output-dir", str(tmp_path / name)],
+            [sys.executable, "-m", "cdcfund.cli", *argv, "--output-dir", str(tmp_path / name)],
             env=env, cwd=tmp_path, capture_output=True, check=True, preexec_fn=pin,
         )
-        runs[name] = (proc.stdout, (tmp_path / name / "grid.csv").read_bytes())
+        runs[name] = (proc.stdout, [(tmp_path / name / f).read_bytes() for f in files])
+    return runs
+
+
+def test_grid_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # serially or one policy per worker
+    runs = _outputs_pinned_and_unpinned(
+        tmp_path, ["grid", "--fast", "--resolution", "3"], ["grid.csv"])
     assert runs["one-cpu"] == runs["all"]
+
+
+def test_evaluate_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # serially or one path block per worker, the last block a short one
+    (tmp_path / "cfg.json").write_text('{"n_paths": 2393}')
+    for policy in (["--pi", "0.865", "--theta", "0.345"], ["--pi", "3.0", "--theta", "0.0"]):
+        runs = _outputs_pinned_and_unpinned(
+            tmp_path, ["evaluate", "--config", "cfg.json", *policy])
+        assert runs["one-cpu"] == runs["all"]
 
 
 def test_run_cell_imports_only_numpy_and_the_standard_library(tmp_path):

@@ -8,6 +8,7 @@ from cdcfund.idc import idc_terminal_benefits, idc_trajectories
 from cdcfund.market import (
     MarketParams,
     RandomStream,
+    _normal_rows,
     expected_log_return,
     normal_matrix,
     preset_market,
@@ -145,6 +146,15 @@ class TestRandomStream:
         mat = normal_matrix(2**64 - 1, 70, 13)
         for p in range(70):
             assert np.array_equal(mat[p], RandomStream(2**64 - 1, p).normals(13))
+
+    @pytest.mark.parametrize("bounds", [(0, 70), (0, 1, 70), (0, 31, 33, 64, 70), (0, 40, 70)])
+    def test_row_ranges_stack_to_the_matrix(self, bounds):
+        # any split, inside or across the generation blocks, draws the same
+        # bits in the same time-major layout
+        full = normal_matrix(7, 70, 13)
+        parts = [_normal_rows(7, lo, hi, 13) for lo, hi in zip(bounds, bounds[1:])]
+        assert all(part.T.flags.c_contiguous and not part.flags.writeable for part in parts)
+        assert np.vstack(parts).tobytes() == full.tobytes()
 
     def test_matrix_stored_time_major(self):
         mat = normal_matrix(12, 5, 30)

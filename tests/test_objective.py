@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdcfund.fund import FundConfig, PolicyParams, SimulationBatch
-from cdcfund.market import preset_market
+from cdcfund.market import _normal_rows, preset_market
 from cdcfund.objective import (
     ObjectiveSpec,
     ObjectiveValue,
@@ -21,6 +21,7 @@ from cdcfund.objective import (
     evaluate_policy,
     value_from_batch,
 )
+from draws import record_generated
 
 M1 = preset_market("M1")
 GAMMA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 10.0)
@@ -281,4 +282,80 @@ class TestEvaluatePolicies:
         monkeypatch.setattr("cdcfund.objective.evaluate_policy", dying)
         with pytest.raises(BrokenProcessPool):
             evaluate_policies(self.POLICIES, self.SPEC)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [None, {0}], ids=["all-cpus", "one-cpu"])
+    @pytest.mark.parametrize("policy", [PolicyParams(0.865, 0.345), PolicyParams(3.0, 0.0)],
+                             ids=["solvent", "bankrupt"])
+    @pytest.mark.parametrize("n_paths", [1, 999, 1_001, 2_393])
+    def test_one_policy_in_path_blocks_equals_the_whole_batch(
+        self, monkeypatch, n_paths, policy, cpus
+    ):
+        # seed 0 puts path 0 and a path of the second block into bankruptcy
+        spec = ObjectiveSpec(cfg=FundConfig(), mkt=M1, n_paths=n_paths, seed=0)
+        whole = evaluate_policy(policy, spec)
+        assert whole.any_bankruptcy == (policy.pi == 3.0)
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        fresh = ObjectiveSpec(cfg=FundConfig(), mkt=M1, n_paths=n_paths, seed=0)
+        assert [repr(v) for v in evaluate_policies([policy], fresh)] == [repr(whole)]
+        assert multiprocessing.active_children() == []
+
+    def test_one_policy_never_draws_the_whole_matrix(self, monkeypatch):
+        # on one CPU every block is drawn in this process, where it can be seen
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        made = record_generated(monkeypatch)  # the spec's whole matrix
+        drawn = []
+
+        def recording(seed, lo, hi, n_steps):
+            drawn.append((lo, hi))
+            return _normal_rows(seed, lo, hi, n_steps)
+
+        monkeypatch.setattr("cdcfund.objective._normal_rows", recording)
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=2_393, seed=4)
+        evaluate_policies([self.POLICIES[1]], spec)
+        assert drawn == [(0, 1_000), (1_000, 2_000), (2_000, 2_393)]
+        assert not made and "normals" not in vars(spec)
+
+    @pytest.mark.parametrize("policies, n_paths, workers", [
+        (POLICIES, 20, 5),  # one worker per policy
+        (POLICIES[:1], 2_393, 3),  # one worker per path block
+        (POLICIES[:1], 20, 1),  # a single block runs here
+    ])
+    def test_workers_are_capped_by_the_items(self, monkeypatch, policies, n_paths, workers):
+        # a stub pool maps in this process and records the worker count it
+        # was asked for, so no process starts whatever the CPU count
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("cdcfund.objective._worker_fn", None)  # the stub's initializer sets it
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=n_paths, seed=4)
+        values = evaluate_policies(policies, spec)
+        assert asked == ([workers] if workers > 1 else [])
+        assert [repr(v) for v in values] == [repr(evaluate_policy(p, spec)) for p in policies]
+        assert multiprocessing.active_children() == []
+
+    def test_block_error_is_raised_here(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("block failed in a worker")
+
+        monkeypatch.setattr("cdcfund.objective.simulate_batch", failing)
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=2_393, seed=4)
+        with pytest.raises(ValueError, match="block failed in a worker"):
+            evaluate_policies([self.POLICIES[1]], spec)
         assert multiprocessing.active_children() == []

@@ -3,11 +3,13 @@
 Usage: ``python tools/digests.py [--src DIR]``
 
 Runs ``evaluate``, ``simulate`` and ``analyze`` each at a solvent and at a
-bankrupt policy, ``analyze`` once more on 2 paths that are both bankrupt
-before generation 41 retires (``analyze-all-bankrupt``), a 3 x 3 ``grid``
-(once more pinned to one CPU as ``grid-one-cpu``, whose digests must equal
-those of ``grid``, and once more in market M3 as ``grid-m3``, where the
-bankruptcy boundary crosses the lattice), ``optimize --fast``, and
+bankrupt policy (``evaluate`` once more pinned to one CPU as
+``evaluate-one-cpu``, whose digest must equal that of ``evaluate``),
+``analyze`` once more on 2 paths that are both bankrupt before generation 41
+retires (``analyze-all-bankrupt``), a 3 x 3 ``grid`` (once more pinned to one
+CPU as ``grid-one-cpu``, whose digests must equal those of ``grid``, and once
+more in market M3 as ``grid-m3``, where the bankruptcy boundary crosses the
+lattice), ``optimize --fast``, and
 ``run-cell --fast`` at seeds 1 and 2, each in a fresh interpreter that
 imports ``cdcfund`` from ``DIR`` (default: the ``src`` directory of the
 checkout holding this script), with outputs in a temporary directory. One
@@ -43,6 +45,7 @@ BANKRUPT = ["--pi", "3.0", "--theta", "0.0"]
 # run name -> command line after ``cdcfund``; outputs go to a directory of that name
 RUNS = {
     "evaluate": ["evaluate", "--seed", "1", *SOLVENT],
+    "evaluate-one-cpu": ["evaluate", "--seed", "1", *SOLVENT],
     "evaluate-bankrupt": ["evaluate", "--seed", "1", "--fast", *BANKRUPT],
     "grid": ["grid", "--seed", "1", "--fast", "--resolution", "3"],
     "grid-one-cpu": ["grid", "--seed", "1", "--fast", "--resolution", "3"],
@@ -56,7 +59,8 @@ RUNS = {
     "run-cell-seed1": ["run-cell", "--seed", "1", "--fast"],
     "run-cell-seed2": ["run-cell", "--seed", "2", "--fast"],
 }
-ONE_CPU = {"grid-one-cpu"}  # runs confined to the lowest CPU of this process's affinity mask
+# runs confined to the lowest CPU of this process's affinity mask
+ONE_CPU = {"evaluate-one-cpu", "grid-one-cpu"}
 
 
 def _sha256(data: bytes) -> str:
