@@ -182,6 +182,59 @@ def _store_year(record: np.ndarray, year: np.ndarray, first: int, dead) -> None:
     record[:, first : first + len(year)] = year.T
 
 
+def _solvency_margin(bankrupt_at: np.ndarray, min_ratio: float) -> float:
+    """Minus the bankrupt fraction if any path is bankrupt, else ``min_ratio``."""
+    n_dead = int(np.count_nonzero(~np.isnan(bankrupt_at)))
+    return -n_dead / len(bankrupt_at) if n_dead else min_ratio
+
+
+def _year_factors(drift: float, scale: float, spy: int, n_paths: int, theta_dt: float = 0.0):
+    """``factors(year, growth, log_ratio=None, credit=None)`` fills ``growth``
+    with the growth so far over a year of ``(spy, n_paths)`` draw rows at step
+    log-returns ``drift + scale * z_k``: ``exp`` of their running sum in step
+    order, then the year's own factor. Given the post-jump log funding ratio
+    (used up), it fills ``credit`` with the crediting so far, whose last row
+    is :func:`simulate_batch`'s ``c``. A one-row buffer gets the last row."""
+    year_drift = spy * drift
+    # partial[m] = sum_{k<m} rho^k, so c0 = partial[spy], w_j = partial[spy-1-j]
+    partial = list(itertools.accumulate(((1.0 - theta_dt) ** k for k in range(spy)), initial=0.0))
+    x0_weight = theta_dt * partial[spy]
+    z_weights = [theta_dt * scale * partial[spy - 1 - j] for j in range(spy - 1)]
+    term = np.empty(n_paths)
+
+    def factors(year, growth, log_ratio=None, credit=None) -> None:
+        c = None if credit is None else credit[-1]  # the year's crediting
+        if c is not None:
+            np.multiply(log_ratio, x0_weight, out=c)
+        if len(growth) > 1:
+            # the steps' log-returns, the log ratio moved through them, the running sums
+            np.multiply(year[:-1], scale, out=growth[:-1])
+            growth[:-1] += drift
+            for k in range(spy - 1 if c is not None else 0):
+                np.multiply(log_ratio, theta_dt, out=credit[k])
+                credit[k] += drift
+                log_ratio += growth[k]
+                log_ratio -= credit[k]
+            for k in range(1, spy - 1):
+                growth[k] += growth[k - 1]
+                if c is not None:
+                    credit[k] += credit[k - 1]
+            np.exp(growth[:-1], out=growth[:-1])
+            if c is not None:
+                np.exp(credit[:-1], out=credit[:-1])
+        # the year step: two fixed-order sums over the year's draws, in one pass
+        for k, z in enumerate(_summed_rows(year, growth[-1])):
+            if c is not None and k < spy - 1:  # the last draw does not reach the crediting
+                np.multiply(z, z_weights[k], out=term)
+                c += term
+        _year_growth(growth[-1], year_drift, scale)
+        if c is not None:
+            c += year_drift
+            np.exp(c, out=c)
+
+    return factors
+
+
 def simulate_batch(
     cfg: FundConfig,
     policy: PolicyParams,
@@ -218,14 +271,14 @@ def simulate_batch(
     is that account at the start of its last year times that year's ``c``.
 
     Recordings are computed only when asked for and never feed the state, so
-    recording leaves the results unchanged bit for bit. The samples at inner
-    steps ``1 .. spy-1`` come from the per-step log recursion and the last
-    from the year step; a tracked account is its start-of-year value times
-    the crediting so far, so it ends at its benefit bit for bit. Each year's
-    samples fill a ``(steps_per_year, n_paths)`` buffer, one contiguous row
-    per step, that is copied into the row-major record once a year. The
-    funding ratio is never stored per path: ``record_funding_ratios`` sums
-    each step's row of ``A/L`` over the live paths into the mean.
+    recording leaves the results unchanged bit for bit. A recorded sample is
+    its start-of-year value times the growth so far: one ``(steps_per_year,
+    n_paths)`` matrix per year whose last row is the year's own factor, the
+    portfolio's for the asset and the crediting's for the liability and a
+    tracked account. So a year-end sample is the next state, and a tracked
+    account ends at its benefit, bit for bit. Each year is copied into the
+    row-major record in one block. The funding ratio is never stored per
+    path: its mean sums each step's row of ``A/L`` over the live paths.
     """
     spy = cfg.steps_per_year
     n_steps = cfg.n_steps
@@ -236,12 +289,7 @@ def simulate_batch(
     n_paths = _path_count(cfg, normals)
 
     drift, scale = _increment_coefficients(mkt, policy.pi, cfg.dt)
-    theta_dt = policy.theta * cfg.dt
-    year_drift = spy * drift
-    # partial[m] = sum_{k<m} rho^k, so c0 = partial[spy], w_j = partial[spy-1-j]
-    partial = list(itertools.accumulate(((1.0 - theta_dt) ** k for k in range(spy)), initial=0.0))
-    x0_weight = theta_dt * partial[spy]
-    z_weights = [theta_dt * scale * partial[spy - 1 - j] for j in range(spy - 1)]
+    factors = _year_factors(drift, scale, spy, n_paths, policy.theta * cfg.dt)
 
     entry = np.array([entry_cohort_account(i, cfg, mkt.r) for i in range(1, n + 1)])
     a0 = float(entry.sum())
@@ -262,22 +310,21 @@ def simulate_batch(
         return out
 
     # every record column is written: column 0 here, the rest a year at a time
-    mean_ratio = ratio_year = None
+    mean_ratio = asset_rec = liab_rec = None
     if record_funding_ratios:
         mean_ratio = np.empty(n_steps + 1)
         mean_ratio[0] = (assets / liabilities).sum() / n_paths
-        ratio_year = np.empty((spy, n_paths))
-    asset_rec = liab_rec = asset_year = liab_year = None
     if record_state:
         asset_rec = np.empty((n_paths, n_steps + 1))
         liab_rec = np.empty((n_paths, n_steps + 1))
         asset_rec[:, 0] = assets
         liab_rec[:, 0] = liabilities
-    if record_state or record_funding_ratios:
-        asset_year, liab_year = np.empty((2, spy, n_paths))
-
     trajectories = {i: np.empty((n_paths, n * spy + 1)) for i in tracked_generations}
-    tracked_year = {i: np.empty((spy, n_paths)) for i in tracked_generations}
+    # a year's growth and crediting so far, one row if nothing is recorded
+    rows = spy if record_funding_ratios or record_state or tracked_generations else 1
+    growth, credit = np.empty((2, rows, n_paths))
+    tracked_year = np.empty((spy + 1, n_paths)) if tracked_generations else None
+    year_growth, year_credit = growth[-1], credit[-1]
 
     # Dead paths are frozen at a finite state (asset = liability = 1) at every
     # year boundary: nothing recorded reads them, and keeping them finite
@@ -286,9 +333,7 @@ def simulate_batch(
     min_ratio = math.inf
     benefit = np.zeros(n_paths)
     retiring = np.empty(n_paths)  # the next retiree's account
-    flow, ratio, log_ratio, term, z_sum, credit = np.empty((6, n_paths))
-    # the recordings' per-step log ratio, log growth and log crediting
-    x, log_growth, log_credited, step, factor = np.empty((5, n_paths))
+    flow, ratio, log_ratio, term = np.empty((4, n_paths))
     survived = np.empty(n_paths, dtype=bool)
     for t in range(cfg.horizon + 1):
         # year-boundary jump: pay the retiree, collect contributions
@@ -317,66 +362,39 @@ def simulate_batch(
         np.divide(cfg.y, cum_credit, out=term)
         np.add(sums[t % (n + 1)], term, out=sums[(t + 1) % (n + 1)])
         account(t + 1, t, out=retiring)
-        working = [i for i in tracked_generations if i - n <= t < i]
-        starts = {i: account(i, t) for i in working}
-        for i in working:
-            if t == i - n:  # a newcomer's first sample
-                trajectories[i][:, 0] = starts[i]
-                if dead is not None:
-                    trajectories[i][dead, 0] = np.nan
 
         # this year's draws, one contiguous row of paths per step when the
         # draws are stored time-major
         year = normals[:, t * spy : (t + 1) * spy].T
         np.divide(assets, liabilities, out=log_ratio)
         np.log(log_ratio, out=log_ratio)
-        if working or asset_year is not None:
-            # inner steps 1 .. spy-1 by the per-step log recursion
-            np.copyto(x, log_ratio)
-            log_growth.fill(0.0)
-            log_credited.fill(0.0)
-            for k in range(spy - 1):
-                np.multiply(x, theta_dt, out=step)
-                step += drift
-                log_credited += step
-                np.multiply(year[k], scale, out=term)
-                term += drift
-                log_growth += term
-                x += term
-                x -= step
-                np.exp(log_credited, out=factor)
-                for i in working:
-                    np.multiply(starts[i], factor, out=tracked_year[i][k])
-                if asset_year is not None:
-                    np.exp(log_growth, out=asset_year[k])
-                    asset_year[k] *= assets
-                    np.multiply(liabilities, factor, out=liab_year[k])
-
-        # the year step: two fixed-order sums over the year's draws, in one pass
-        np.multiply(log_ratio, x0_weight, out=credit)
-        for k, z in enumerate(_summed_rows(year, z_sum)):
-            if k < spy - 1:  # the last draw does not reach the year's crediting
-                np.multiply(z, z_weights[k], out=term)
-                credit += term
-        credit += year_drift
-        np.exp(credit, out=credit)
-        assets *= _year_growth(z_sum, year_drift, scale)
-        liabilities *= credit
-        np.multiply(retiring, credit, out=benefit)
-        cum_credit *= credit
+        factors(year, growth, log_ratio, credit)
 
         # the year's recordings, NaN on paths dead before it began
+        for i in tracked_generations:
+            if i - n <= t < i:
+                np.multiply(credit, account(i, t, out=tracked_year[0]), out=tracked_year[1:])
+                lo = 0 if t == i - n else 1  # a newcomer's samples begin at its start
+                _store_year(trajectories[i], tracked_year[lo:], (t - i + n) * spy + lo, dead)
+        # the state takes the last rows (recorded samples overwrite them with the next state)
+        np.multiply(retiring, year_credit, out=benefit)
+        cum_credit *= year_credit
+        if record_state or record_funding_ratios:
+            growth *= assets
+            credit *= liabilities
+            np.copyto(assets, year_growth)
+            np.copyto(liabilities, year_credit)
+        else:
+            assets *= year_growth
+            liabilities *= year_credit
         first = t * spy + 1
-        for i in working:
-            np.multiply(starts[i], credit, out=tracked_year[i][-1])
-            _store_year(trajectories[i], tracked_year[i], first - (i - n) * spy, dead)
-        if asset_year is not None:
-            asset_year[-1] = assets
-            liab_year[-1] = liabilities
-        if ratio_year is not None:
-            np.divide(asset_year, liab_year, out=ratio_year)
-            # each step's mean over the live paths: one contiguous row sum
-            # with the dead paths set to 0, or NaN when none is live
+        if record_state:
+            _store_year(asset_rec, growth, first, dead)
+            _store_year(liab_rec, credit, first, dead)
+        if record_funding_ratios:
+            # each step's mean over the live paths (A/L overwrites the stored
+            # asset): a row sum with the dead paths at 0, or NaN when none is live
+            ratio_year = np.divide(growth, credit, out=growth)
             span = mean_ratio[first : first + spy]
             n_live = int(np.count_nonzero(np.isnan(bankrupt_at)))
             if n_live:
@@ -386,17 +404,13 @@ def simulate_batch(
                 span /= n_live
             else:
                 span[:] = np.nan
-        if asset_rec is not None:
-            _store_year(asset_rec, asset_year, first, dead)
-            _store_year(liab_rec, liab_year, first, dead)
 
-    n_dead = n_paths - int(np.count_nonzero(np.isnan(bankrupt_at)))
     return SimulationBatch(
         payments=payments,
         bankrupt_at=bankrupt_at,
         horizon=cfg.horizon,
         steps_per_year=spy,
-        solvency_margin=-n_dead / n_paths if n_dead else min_ratio,
+        solvency_margin=_solvency_margin(bankrupt_at, min_ratio),
         mean_funding_ratio=mean_ratio,
         assets=asset_rec,
         liabilities=liab_rec,

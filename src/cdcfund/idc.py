@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fund import FundConfig, _path_count, _store_year
-from .market import MarketParams, _increment_coefficients, _summed_rows, _year_growth
+from .fund import FundConfig, _path_count, _store_year, _year_factors
+from .market import MarketParams, _increment_coefficients
 
 __all__ = ["idc_terminal_benefits", "idc_trajectories"]
 
@@ -24,24 +24,15 @@ def _check_generation(generation: int, cfg: FundConfig) -> None:
         )
 
 
-def _annual_growth(rows: np.ndarray, drift: float, scale: float, out: np.ndarray) -> np.ndarray:
-    """The market's growth over the year of ``(steps, n_paths)`` draw ``rows``, in ``out``."""
-    for _ in _summed_rows(rows, out):
-        pass
-    return _year_growth(out, len(rows) * drift, scale)
-
-
-def _simulate_window(generation, cfg, drift, scale, normals) -> np.ndarray:
+def _simulate_window(generation, cfg, factors, normals) -> np.ndarray:
     """Account values of one generation, ``(n_paths, n * steps_per_year + 1)``.
 
     Samples at year boundaries are taken before the contribution, as the
     fund's tracked accounts are; the first is the opening contribution and
-    the last the retirement benefit. Like the fund's recorded asset, an inner
-    step's sample is the start-of-year account times ``exp`` of the running
-    log-return, and the year-end sample that account times the year's growth
-    factor. Each year fills a ``(steps_per_year, n_paths)`` buffer, copied
-    into the row-major result once a year.
-    """
+    the last the retirement benefit. As for every recording of the fund, a
+    year's samples are its start-of-year account times the growth so far,
+    the ``(steps_per_year, n_paths)`` matrix of ``factors``, copied into the
+    row-major result in one block."""
     spy = cfg.steps_per_year
     n = cfg.n_generations
     birth = generation - n
@@ -49,17 +40,10 @@ def _simulate_window(generation, cfg, drift, scale, normals) -> np.ndarray:
     values = np.empty((n_paths, n * spy + 1))
     values[:, 0] = cfg.y
     account = np.full(n_paths, cfg.y)
-    growth = np.empty(n_paths)
     year = np.empty((spy, n_paths))
     for k in range(n):
-        rows = normals[:, (birth + k) * spy : (birth + k + 1) * spy].T
-        np.multiply(rows[:-1], scale, out=year[:-1])
-        year[:-1] += drift
-        for step in range(1, spy - 1):  # the running sum in step order
-            year[step] += year[step - 1]
-        np.exp(year[:-1], out=year[:-1])
-        year[:-1] *= account
-        np.multiply(account, _annual_growth(rows, drift, scale, growth), out=year[-1])
+        factors(normals[:, (birth + k) * spy : (birth + k + 1) * spy].T, year)
+        year *= account
         _store_year(values, year, k * spy + 1, None)
         np.add(year[-1], cfg.y, out=account)
     return values
@@ -87,12 +71,13 @@ def idc_terminal_benefits(
         _check_generation(i, cfg)
     n_paths = _path_count(cfg, normals)
     spy = cfg.steps_per_year
+    factors = _year_factors(drift, scale, spy, n_paths)
     # rows are years, columns paths; both accumulations run row by row, in
     # the order of np.cumprod and np.cumsum along axis 0 but several times faster
     cum = np.empty((cfg.horizon + 1, n_paths))  # C(0..horizon)
     cum[0] = 1.0
     for t in range(cfg.horizon):
-        _annual_growth(normals[:, t * spy : (t + 1) * spy].T, drift, scale, cum[t + 1])
+        factors(normals[:, t * spy : (t + 1) * spy].T, cum[t + 1 : t + 2])
         cum[t + 1] *= cum[t]
     s = np.empty((cfg.horizon + 2, n_paths))  # s[j+1] = sum_{u<=j} 1/C(u), s[0] = 0
     s[0] = 0.0
@@ -122,5 +107,5 @@ def idc_trajectories(
     drift, scale = _increment_coefficients(mkt, pi, cfg.dt)
     for i in generations:
         _check_generation(i, cfg)
-    _path_count(cfg, normals)
-    return {i: _simulate_window(i, cfg, drift, scale, normals) for i in generations}
+    factors = _year_factors(drift, scale, cfg.steps_per_year, _path_count(cfg, normals))
+    return {i: _simulate_window(i, cfg, factors, normals) for i in generations}

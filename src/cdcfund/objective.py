@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fund import FundConfig, PolicyParams, SimulationBatch, simulate_batch
+from .fund import FundConfig, PolicyParams, SimulationBatch, _solvency_margin, simulate_batch
 from .market import MarketParams, _check_integer, _check_uint64, _normal_rows, normal_matrix
 
 __all__ = [
@@ -213,11 +213,10 @@ def _evaluate_in_blocks(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveV
         *_fork_map(simulate_block, range(0, spec.n_paths, _EVAL_BLOCK))
     )
     payments, bankrupt_at = np.concatenate(payments), np.concatenate(bankrupt_at)
-    n_dead = int(np.count_nonzero(~np.isnan(bankrupt_at)))
     batch = SimulationBatch(
         payments=payments, bankrupt_at=bankrupt_at, horizon=cfg.horizon,
         steps_per_year=cfg.steps_per_year,
-        solvency_margin=-n_dead / spec.n_paths if n_dead else min(margins),
+        solvency_margin=_solvency_margin(bankrupt_at, min(margins)),
     )
     return value_from_batch(batch, cfg)
 

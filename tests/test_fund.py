@@ -29,6 +29,8 @@ M1 = preset_market("M1")
 CFG = FundConfig()
 RECORD_ALL = dict(record_funding_ratios=True, record_state=True, tracked_generations=(41, 70))
 PATH_ARRAYS = ("payments", "bankrupt_at", "assets", "liabilities")
+# monthly, yearly (no step inside a year) and weekly inner steps
+STEP_SIZES = (1 / 12, 1.0, 1 / 52)
 SIMULATORS = {
     "simulate_batch": lambda normals: simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, normals),
     "idc_terminal_benefits": lambda normals: idc_terminal_benefits(CFG, 0.5, M1, normals, (41,)),
@@ -245,15 +247,16 @@ class TestSimulatePath:
 
 
 class TestSimulateBatch:
-    def test_matches_single_path(self):
-        policy = PolicyParams(pi=0.865, theta=0.345)
+    @pytest.mark.parametrize("dt", STEP_SIZES)
+    def test_matches_single_path(self, dt):
+        cfg, policy = FundConfig(dt=dt), PolicyParams(pi=0.865, theta=0.345)
         batch = simulate_batch(
-            CFG, policy, M1, draws(7, 4),
+            cfg, policy, M1, draws(7, 4, cfg.n_steps),
             record_state=True, tracked_generations=(41,),
         )
         ratios = batch.assets / batch.liabilities
         for p in range(4):
-            rec = simulate_path(CFG, policy, M1, RandomStream(7, p), tracked_generations=(41,))
+            rec = simulate_path(cfg, policy, M1, RandomStream(7, p), tracked_generations=(41,))
             assert np.allclose(rec.payments, batch.payments[p], rtol=1e-9, equal_nan=True)
             assert np.allclose(rec.funding_ratios, ratios[p], rtol=1e-9, equal_nan=True)
             assert np.allclose(
@@ -316,18 +319,19 @@ class TestSimulateBatch:
         error = np.abs((payments.astype(np.longdouble) - exact) / exact)
         assert float(np.nanmax(error)) <= bound
 
-    def test_recordings_match_single_path_through_bankruptcy(self):
+    @pytest.mark.parametrize("dt", STEP_SIZES)
+    def test_recordings_match_single_path_through_bankruptcy(self, dt):
         # funding ratios and tracked accounts are NaN from the bankruptcy
         # jump on, and equal the state machine's before it
-        policy = PolicyParams(pi=3.0, theta=0.0)
+        cfg, policy = FundConfig(dt=dt), PolicyParams(pi=3.0, theta=0.0)
         batch = simulate_batch(
-            CFG, policy, M1, draws(0, 30),
+            cfg, policy, M1, draws(0, 30, cfg.n_steps),
             record_state=True, tracked_generations=(41, 60),
         )
         assert batch.n_bankrupt > 0
         ratios = batch.assets / batch.liabilities
         for p in range(30):
-            rec = simulate_path(CFG, policy, M1, RandomStream(0, p), tracked_generations=(41, 60))
+            rec = simulate_path(cfg, policy, M1, RandomStream(0, p), tracked_generations=(41, 60))
             assert np.allclose(rec.funding_ratios, ratios[p], rtol=1e-9, equal_nan=True)
             for i in (41, 60):
                 assert np.allclose(
@@ -529,12 +533,14 @@ class TestEngineLayout:
         pi=st.floats(0.0, 3.0),
         theta=st.floats(0.0, 1.0),
         market=st.sampled_from(["M1", "M2", "M3"]),
+        dt=st.sampled_from(STEP_SIZES),
     )
     @settings(max_examples=20, deadline=None)
-    def test_recording_leaves_results_unchanged(self, pi, theta, market):
-        policy, mkt = PolicyParams(pi, theta), preset_market(market)
-        plain = simulate_batch(CFG, policy, mkt, draws(2, 8))
-        recorded = simulate_batch(CFG, policy, mkt, draws(2, 8), **RECORD_ALL)
+    def test_recording_leaves_results_unchanged(self, pi, theta, market, dt):
+        cfg, policy, mkt = FundConfig(dt=dt), PolicyParams(pi, theta), preset_market(market)
+        normals = draws(2, 8, cfg.n_steps)
+        plain = simulate_batch(cfg, policy, mkt, normals)
+        recorded = simulate_batch(cfg, policy, mkt, normals, **RECORD_ALL)
         assert np.array_equal(plain.payments, recorded.payments, equal_nan=True)
         assert np.array_equal(plain.bankrupt_at, recorded.bankrupt_at, equal_nan=True)
         assert plain.solvency_margin == recorded.solvency_margin

@@ -6,11 +6,13 @@ Runs ``evaluate``, ``simulate`` and ``analyze`` each at a solvent and at a
 bankrupt policy (``evaluate`` once more pinned to one CPU as
 ``evaluate-one-cpu``, whose digest must equal that of ``evaluate``),
 ``analyze`` once more on 2 paths that are both bankrupt before generation 41
-retires (``analyze-all-bankrupt``), a 3 x 3 ``grid`` (once more pinned to one
-CPU as ``grid-one-cpu``, whose digests must equal those of ``grid``, and once
-more in market M3 as ``grid-m3``, where the bankruptcy boundary crosses the
-lattice), ``optimize --fast``, and
-``run-cell --fast`` at seeds 1 and 2, each in a fresh interpreter that
+retires (``analyze-all-bankrupt``), ``simulate`` and ``analyze`` at the
+solvent policy once more at yearly and at weekly steps (``simulate-yearly``
+and so on), which pins the recordings away from monthly steps, a 3 x 3
+``grid`` (once more pinned to one CPU as ``grid-one-cpu``, whose digests
+must equal those of ``grid``, and once more in market M3 as ``grid-m3``,
+where the bankruptcy boundary crosses the lattice), ``optimize --fast``,
+and ``run-cell --fast`` at seeds 1 and 2, each in a fresh interpreter that
 imports ``cdcfund`` from ``DIR`` (default: the ``src`` directory of the
 checkout holding this script), with outputs in a temporary directory. One
 ``sha256  run/file`` line is printed per file written and per non-empty
@@ -55,6 +57,12 @@ RUNS = {
     "analyze": ["analyze", "--seed", "1", "--fast", *SOLVENT],
     "analyze-bankrupt": ["analyze", "--seed", "1", "--fast", *BANKRUPT],
     "analyze-all-bankrupt": ["analyze", "--config", "two-paths.json", "--seed", "0", *BANKRUPT],
+    "simulate-yearly": ["simulate", "--config", "yearly.json", "--seed", "1", *SOLVENT,
+                        "--paths", "10"],
+    "simulate-weekly": ["simulate", "--config", "weekly.json", "--seed", "1", *SOLVENT,
+                        "--paths", "10"],
+    "analyze-yearly": ["analyze", "--config", "yearly.json", "--seed", "1", "--fast", *SOLVENT],
+    "analyze-weekly": ["analyze", "--config", "weekly.json", "--seed", "1", "--fast", *SOLVENT],
     "optimize": ["optimize", "--seed", "1", "--fast"],
     "run-cell-seed1": ["run-cell", "--seed", "1", "--fast"],
     "run-cell-seed2": ["run-cell", "--seed", "2", "--fast"],
@@ -96,6 +104,8 @@ def digests(src: Path, workdir: Path) -> list[str]:
     one_cpu = {min(os.sched_getaffinity(0))}
     (workdir / "two-paths.json").write_text('{"n_paths": 2}')  # analyze-all-bankrupt's config
     (workdir / "m3.json").write_text('{"market": "M3"}')  # grid-m3's config
+    (workdir / "yearly.json").write_text('{"dt": 1.0}')
+    (workdir / "weekly.json").write_text('{"dt": 0.019230769230769232}')  # 1/52
     lines = []
     for name, argv in RUNS.items():
         outdir = workdir / name
