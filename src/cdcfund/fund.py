@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import MarketParams, _check_integer, _increment_coefficients, _summed_rows, _year_growth
+from .market import MarketParams, _check_integer, _increment_coefficients
 
 __all__ = [
     "OMEGA",
@@ -188,51 +188,67 @@ def _solvency_margin(bankrupt_at: np.ndarray, min_ratio: float) -> float:
     return -n_dead / len(bankrupt_at) if n_dead else min_ratio
 
 
-def _year_factors(drift: float, scale: float, spy: int, n_paths: int, theta_dt: float = 0.0):
-    """``factors(year, growth, log_ratio=None, credit=None)`` fills ``growth``
-    with the growth so far over a year of ``(spy, n_paths)`` draw rows at step
-    log-returns ``drift + scale * z_k``: ``exp`` of their running sum in step
-    order, then the year's own factor. Given the post-jump log funding ratio
-    (used up), it fills ``credit`` with the crediting so far, whose last row
-    is :func:`simulate_batch`'s ``c``. A one-row buffer gets the last row."""
-    year_drift = spy * drift
-    # partial[m] = sum_{k<m} rho^k, so c0 = partial[spy], w_j = partial[spy-1-j]
-    partial = list(itertools.accumulate(((1.0 - theta_dt) ** k for k in range(spy)), initial=0.0))
-    x0_weight = theta_dt * partial[spy]
-    z_weights = [theta_dt * scale * partial[spy - 1 - j] for j in range(spy - 1)]
-    term = np.empty(n_paths)
+def _check_window(generations, cfg: FundConfig, role: str) -> None:
+    """Raise unless each of ``generations`` works its whole life inside the
+    simulated window; the message begins with ``role`` ("tracked", ...)."""
+    for i in generations:
+        if i not in cfg.generations_in_window:
+            raise ValueError(
+                f"{role} generation must lie in {cfg.n_generations}..{cfg.horizon} "
+                f"(working life inside the simulated window), got {i}"
+            )
 
-    def factors(year, growth, log_ratio=None, credit=None) -> None:
-        c = None if credit is None else credit[-1]  # the year's crediting
-        if c is not None:
-            np.multiply(log_ratio, x0_weight, out=c)
-        if len(growth) > 1:
-            # the steps' log-returns, the log ratio moved through them, the running sums
-            np.multiply(year[:-1], scale, out=growth[:-1])
-            growth[:-1] += drift
-            for k in range(spy - 1 if c is not None else 0):
-                np.multiply(log_ratio, theta_dt, out=credit[k])
-                credit[k] += drift
-                log_ratio += growth[k]
-                log_ratio -= credit[k]
-            for k in range(1, spy - 1):
-                growth[k] += growth[k - 1]
-                if c is not None:
-                    credit[k] += credit[k - 1]
-            np.exp(growth[:-1], out=growth[:-1])
-            if c is not None:
-                np.exp(credit[:-1], out=credit[:-1])
-        # the year step: two fixed-order sums over the year's draws, in one pass
-        for k, z in enumerate(_summed_rows(year, growth[-1])):
-            if c is not None and k < spy - 1:  # the last draw does not reach the crediting
-                np.multiply(z, z_weights[k], out=term)
-                c += term
-        _year_growth(growth[-1], year_drift, scale)
-        if c is not None:
-            c += year_drift
-            np.exp(c, out=c)
 
-    return factors
+def _growth_so_far(year: np.ndarray, drift: float, scale: float, out: np.ndarray) -> None:
+    """Fill ``out`` with the portfolio's growth so far over a year of
+    ``(steps, n_paths)`` draw rows at step log-returns ``drift + scale *
+    z_k``: ``exp`` of their running sum in step order, then the year's own
+    factor ``exp(steps*drift + scale * sum_k z_k)``. A one-row ``out`` gets
+    that factor alone."""
+    if len(out) > 1:
+        np.multiply(year[:-1], scale, out=out[:-1])
+        out[:-1] += drift
+        for k in range(1, len(year) - 1):
+            out[k] += out[k - 1]
+        np.exp(out[:-1], out=out[:-1])
+    # a sequential row loop: the same bits whatever the draw layout
+    z_sum = out[-1]
+    np.copyto(z_sum, year[0])
+    for z in year[1:]:
+        z_sum += z
+    z_sum *= scale
+    z_sum += len(year) * drift
+    np.exp(z_sum, out=z_sum)
+
+
+def _credit_so_far(year, log_ratio, drift, scale, theta_dt, out, term) -> None:
+    """Fill ``out`` with the crediting so far over a year of ``(steps,
+    n_paths)`` draw rows from the post-jump log funding ratio ``log_ratio``:
+    ``exp`` of the running sum of each step's ``drift + theta_dt * x_k``,
+    then the year's own factor, :func:`simulate_batch`'s ``c``. A one-row
+    ``out`` gets ``c`` alone; ``term`` is an ``n_paths`` scratch row."""
+    steps = len(year)
+    # partial[m] = sum_{k<m} rho^k, so c0 = partial[steps], w_j = partial[steps-1-j]
+    partial = list(itertools.accumulate(((1.0 - theta_dt) ** k for k in range(steps)), initial=0.0))
+    if len(out) > 1:
+        # term carries x_k; out[k + 1] holds step k's log-return until its own turn
+        np.copyto(term, log_ratio)
+        for k in range(steps - 1):
+            np.multiply(term, theta_dt, out=out[k])
+            out[k] += drift
+            np.multiply(year[k], scale, out=out[k + 1])
+            out[k + 1] += drift
+            term += out[k + 1]
+            term -= out[k]
+        for k in range(1, steps - 1):
+            out[k] += out[k - 1]
+        np.exp(out[:-1], out=out[:-1])
+    # a fixed-order sum over the draws that reach the crediting (all but the last)
+    c = np.multiply(log_ratio, theta_dt * partial[steps], out=out[-1])
+    for j in range(steps - 1):
+        c += np.multiply(year[j], theta_dt * scale * partial[steps - 1 - j], out=term)
+    c += steps * drift
+    np.exp(c, out=c)
 
 
 def simulate_batch(
@@ -272,24 +288,24 @@ def simulate_batch(
 
     Recordings are computed only when asked for and never feed the state, so
     recording leaves the results unchanged bit for bit. A recorded sample is
-    its start-of-year value times the growth so far: one ``(steps_per_year,
-    n_paths)`` matrix per year whose last row is the year's own factor, the
-    portfolio's for the asset and the crediting's for the liability and a
-    tracked account. So a year-end sample is the next state, and a tracked
-    account ends at its benefit, bit for bit. Each year is copied into the
-    row-major record in one block. The funding ratio is never stored per
-    path: its mean sums each step's row of ``A/L`` over the live paths.
+    its start-of-year value times the growth so far, a ``(steps_per_year,
+    n_paths)`` matrix per year whose last row is the year's own factor:
+    :func:`_growth_so_far`'s for the asset, :func:`_credit_so_far`'s for
+    the liability and a tracked account. A matrix no recording reads is its
+    last row alone. The state is always its start-of-year value times the
+    matrix, so a year-end sample is the next state, and a tracked account
+    ends at its benefit, bit for bit. Each year is copied into the row-major
+    record in one block. The funding ratio is never stored per path: its
+    mean sums each step's row of ``A/L`` over the live paths.
     """
     spy = cfg.steps_per_year
     n_steps = cfg.n_steps
     n = cfg.n_generations
-    for i in tracked_generations:
-        if i not in cfg.generations_in_window:
-            raise ValueError(f"tracked generation must lie in {n}..{cfg.horizon}, got {i}")
+    _check_window(tracked_generations, cfg, "tracked")
     n_paths = _path_count(cfg, normals)
 
     drift, scale = _increment_coefficients(mkt, policy.pi, cfg.dt)
-    factors = _year_factors(drift, scale, spy, n_paths, policy.theta * cfg.dt)
+    theta_dt = policy.theta * cfg.dt
 
     entry = np.array([entry_cohort_account(i, cfg, mkt.r) for i in range(1, n + 1)])
     a0 = float(entry.sum())
@@ -320,11 +336,11 @@ def simulate_batch(
         asset_rec[:, 0] = assets
         liab_rec[:, 0] = liabilities
     trajectories = {i: np.empty((n_paths, n * spy + 1)) for i in tracked_generations}
-    # a year's growth and crediting so far, one row if nothing is recorded
-    rows = spy if record_funding_ratios or record_state or tracked_generations else 1
-    growth, credit = np.empty((2, rows, n_paths))
+    # a year's growth and crediting so far, one row where no recording reads more
+    state_rows = spy if record_funding_ratios or record_state else 1
+    growth = np.empty((state_rows, n_paths))
+    credit = np.empty((spy if tracked_generations else state_rows, n_paths))
     tracked_year = np.empty((spy + 1, n_paths)) if tracked_generations else None
-    year_growth, year_credit = growth[-1], credit[-1]
 
     # Dead paths are frozen at a finite state (asset = liability = 1) at every
     # year boundary: nothing recorded reads them, and keeping them finite
@@ -368,7 +384,8 @@ def simulate_batch(
         year = normals[:, t * spy : (t + 1) * spy].T
         np.divide(assets, liabilities, out=log_ratio)
         np.log(log_ratio, out=log_ratio)
-        factors(year, growth, log_ratio, credit)
+        _growth_so_far(year, drift, scale, growth)
+        _credit_so_far(year, log_ratio, drift, scale, theta_dt, credit, term)
 
         # the year's recordings, NaN on paths dead before it began
         for i in tracked_generations:
@@ -377,16 +394,12 @@ def simulate_batch(
                 lo = 0 if t == i - n else 1  # a newcomer's samples begin at its start
                 _store_year(trajectories[i], tracked_year[lo:], (t - i + n) * spy + lo, dead)
         # the state takes the last rows (recorded samples overwrite them with the next state)
-        np.multiply(retiring, year_credit, out=benefit)
-        cum_credit *= year_credit
-        if record_state or record_funding_ratios:
-            growth *= assets
-            credit *= liabilities
-            np.copyto(assets, year_growth)
-            np.copyto(liabilities, year_credit)
-        else:
-            assets *= year_growth
-            liabilities *= year_credit
+        np.multiply(retiring, credit[-1], out=benefit)
+        cum_credit *= credit[-1]
+        growth *= assets
+        credit *= liabilities
+        np.copyto(assets, growth[-1])
+        np.copyto(liabilities, credit[-1])
         first = t * spy + 1
         if record_state:
             _store_year(asset_rec, growth, first, dead)

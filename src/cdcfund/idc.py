@@ -10,29 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fund import FundConfig, _path_count, _store_year, _year_factors
+from .fund import FundConfig, _check_window, _growth_so_far, _path_count, _store_year
 from .market import MarketParams, _increment_coefficients
 
 __all__ = ["idc_terminal_benefits", "idc_trajectories"]
 
 
-def _check_generation(generation: int, cfg: FundConfig) -> None:
-    if generation not in cfg.generations_in_window:
-        raise ValueError(
-            f"benchmark generation must lie in {cfg.n_generations}..{cfg.horizon} "
-            f"(working life inside the simulated window), got {generation}"
-        )
-
-
-def _simulate_window(generation, cfg, factors, normals) -> np.ndarray:
+def _simulate_window(generation, cfg, drift, scale, normals) -> np.ndarray:
     """Account values of one generation, ``(n_paths, n * steps_per_year + 1)``.
 
     Samples at year boundaries are taken before the contribution, as the
     fund's tracked accounts are; the first is the opening contribution and
     the last the retirement benefit. As for every recording of the fund, a
     year's samples are its start-of-year account times the growth so far,
-    the ``(steps_per_year, n_paths)`` matrix of ``factors``, copied into the
-    row-major result in one block."""
+    the ``(steps_per_year, n_paths)`` matrix of ``_growth_so_far``, copied
+    into the row-major result in one block."""
     spy = cfg.steps_per_year
     n = cfg.n_generations
     birth = generation - n
@@ -42,7 +34,7 @@ def _simulate_window(generation, cfg, factors, normals) -> np.ndarray:
     account = np.full(n_paths, cfg.y)
     year = np.empty((spy, n_paths))
     for k in range(n):
-        factors(normals[:, (birth + k) * spy : (birth + k + 1) * spy].T, year)
+        _growth_so_far(normals[:, (birth + k) * spy : (birth + k + 1) * spy].T, drift, scale, year)
         year *= account
         _store_year(values, year, k * spy + 1, None)
         np.add(year[-1], cfg.y, out=account)
@@ -67,17 +59,15 @@ def idc_terminal_benefits(
     """
     drift, scale = _increment_coefficients(mkt, pi, cfg.dt)
     generations = tuple(generations)
-    for i in generations:
-        _check_generation(i, cfg)
+    _check_window(generations, cfg, "benchmark")
     n_paths = _path_count(cfg, normals)
     spy = cfg.steps_per_year
-    factors = _year_factors(drift, scale, spy, n_paths)
     # rows are years, columns paths; both accumulations run row by row, in
     # the order of np.cumprod and np.cumsum along axis 0 but several times faster
     cum = np.empty((cfg.horizon + 1, n_paths))  # C(0..horizon)
     cum[0] = 1.0
     for t in range(cfg.horizon):
-        factors(normals[:, t * spy : (t + 1) * spy].T, cum[t + 1 : t + 2])
+        _growth_so_far(normals[:, t * spy : (t + 1) * spy].T, drift, scale, cum[t + 1 : t + 2])
         cum[t + 1] *= cum[t]
     s = np.empty((cfg.horizon + 2, n_paths))  # s[j+1] = sum_{u<=j} 1/C(u), s[0] = 0
     s[0] = 0.0
@@ -105,7 +95,6 @@ def idc_trajectories(
     recorded asset does.
     """
     drift, scale = _increment_coefficients(mkt, pi, cfg.dt)
-    for i in generations:
-        _check_generation(i, cfg)
-    factors = _year_factors(drift, scale, cfg.steps_per_year, _path_count(cfg, normals))
-    return {i: _simulate_window(i, cfg, factors, normals) for i in generations}
+    _check_window(generations, cfg, "benchmark")
+    _path_count(cfg, normals)
+    return {i: _simulate_window(i, cfg, drift, scale, normals) for i in generations}

@@ -93,26 +93,6 @@ def _increment_coefficients(mkt: MarketParams, pi: float, dt: float) -> tuple[fl
     return expected_log_return(mkt, pi) * dt, pi * mkt.sigma * math.sqrt(dt)
 
 
-def _summed_rows(year: np.ndarray, z_sum: np.ndarray):
-    """Yield the rows of a ``(steps, n_paths)`` year of draws in step order,
-    adding each into ``z_sum`` element-wise, so that callers can fuse their
-    own per-row work into the pass that forms ``sum_k z_k``."""
-    np.copyto(z_sum, year[0])
-    yield year[0]
-    for z in year[1:]:
-        z_sum += z
-        yield z
-
-
-def _year_growth(z_sum: np.ndarray, year_drift: float, scale: float) -> np.ndarray:
-    """The portfolio's growth over a year, ``exp(year_drift + scale * z_sum)``,
-    in place, for the sum of :func:`_summed_rows` and ``year_drift = steps *
-    drift``: the factor of both the fund's asset and the benchmark accounts."""
-    z_sum *= scale
-    z_sum += year_drift
-    return np.exp(z_sum, out=z_sum)
-
-
 class RandomStream:
     """Reproducible stream of standard-normal draws for one simulated path.
 

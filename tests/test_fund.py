@@ -1,10 +1,11 @@
 import functools
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdcfund.fund import FundConfig, PolicyParams, entry_cohort_account, simulate_batch
@@ -28,6 +29,17 @@ from reference_fund import (
 M1 = preset_market("M1")
 CFG = FundConfig()
 RECORD_ALL = dict(record_funding_ratios=True, record_state=True, tracked_generations=(41, 70))
+# every non-empty subset of the recordings, each asked for on its own
+RECORDINGS = [
+    {key: RECORD_ALL[key] for key in keys}
+    for size in range(1, len(RECORD_ALL) + 1)
+    for keys in itertools.combinations(RECORD_ALL, size)
+]
+# the batch fields each recording fills
+RECORDED_FIELDS = {
+    "record_funding_ratios": ("mean_funding_ratio",),
+    "record_state": ("assets", "liabilities"),
+}
 PATH_ARRAYS = ("payments", "bankrupt_at", "assets", "liabilities")
 # monthly, yearly (no step inside a year) and weekly inner steps
 STEP_SIZES = (1 / 12, 1.0, 1 / 52)
@@ -534,16 +546,30 @@ class TestEngineLayout:
         theta=st.floats(0.0, 1.0),
         market=st.sampled_from(["M1", "M2", "M3"]),
         dt=st.sampled_from(STEP_SIZES),
+        recording=st.sampled_from(RECORDINGS),
+    )
+    # tracked accounts alone: the only call that needs the crediting so far but not the growth
+    @example(
+        pi=0.865, theta=0.345, market="M1", dt=1 / 12, recording={"tracked_generations": (41, 70)}
     )
     @settings(max_examples=20, deadline=None)
-    def test_recording_leaves_results_unchanged(self, pi, theta, market, dt):
+    def test_recording_leaves_results_unchanged(self, pi, theta, market, dt, recording):
         cfg, policy, mkt = FundConfig(dt=dt), PolicyParams(pi, theta), preset_market(market)
         normals = draws(2, 8, cfg.n_steps)
         plain = simulate_batch(cfg, policy, mkt, normals)
-        recorded = simulate_batch(cfg, policy, mkt, normals, **RECORD_ALL)
-        assert np.array_equal(plain.payments, recorded.payments, equal_nan=True)
-        assert np.array_equal(plain.bankrupt_at, recorded.bankrupt_at, equal_nan=True)
-        assert plain.solvency_margin == recorded.solvency_margin
+        full = simulate_batch(cfg, policy, mkt, normals, **RECORD_ALL)
+        part = simulate_batch(cfg, policy, mkt, normals, **recording)
+        for recorded in (full, part):
+            assert np.array_equal(plain.payments, recorded.payments, equal_nan=True)
+            assert np.array_equal(plain.bankrupt_at, recorded.bankrupt_at, equal_nan=True)
+            assert plain.solvency_margin == recorded.solvency_margin
+        # a recording asked for on its own equals that of a run recording everything
+        for key in recording:
+            for name in RECORDED_FIELDS.get(key, ()):
+                assert np.array_equal(getattr(part, name), getattr(full, name), equal_nan=True)
+        assert part.account_trajectories.keys() == set(recording.get("tracked_generations", ()))
+        for i, trajectory in part.account_trajectories.items():
+            assert np.array_equal(trajectory, full.account_trajectories[i], equal_nan=True)
 
     @pytest.mark.parametrize("pi, theta", [(0.865, 0.345), (3.0, 0.0)])
     def test_results_c_contiguous_with_path_rows(self, pi, theta):
