@@ -173,10 +173,14 @@ def _path_count(cfg: FundConfig, normals: np.ndarray) -> int:
     return normals.shape[0]
 
 
+# paths per block when the time-major benefits are copied into path rows
+_COPY_BLOCK = 512
+
+
 def _store_year(record: np.ndarray, year: np.ndarray, first: int, dead) -> None:
     """Copy a ``(steps, n_paths)`` year buffer into columns ``first...`` of the
-    row-major ``record`` in one block, after setting the ``dead`` paths (a
-    mask, or None) to NaN in the buffer."""
+    row-major ``record`` in one block, after setting the ``dead`` paths (an
+    index array, or None) to NaN in the buffer."""
     if dead is not None:
         year[:, dead] = np.nan
     record[:, first : first + len(year)] = year.T
@@ -221,15 +225,15 @@ def _growth_so_far(year: np.ndarray, drift: float, scale: float, out: np.ndarray
     np.exp(z_sum, out=z_sum)
 
 
-def _credit_so_far(year, log_ratio, drift, scale, theta_dt, out, term) -> None:
+def _credit_so_far(year, log_ratio, drift, scale, theta_dt, partial, out, term) -> None:
     """Fill ``out`` with the crediting so far over a year of ``(steps,
     n_paths)`` draw rows from the post-jump log funding ratio ``log_ratio``:
     ``exp`` of the running sum of each step's ``drift + theta_dt * x_k``,
-    then the year's own factor, :func:`simulate_batch`'s ``c``. A one-row
-    ``out`` gets ``c`` alone; ``term`` is an ``n_paths`` scratch row."""
+    then the year's own factor, :func:`simulate_batch`'s ``c``, whose
+    weights come from ``partial[m] = sum_{k<m} rho^k``: ``c0 =
+    partial[steps]``, ``w_j = partial[steps-1-j]``. A one-row ``out`` gets
+    ``c`` alone; ``term`` is an ``n_paths`` scratch row."""
     steps = len(year)
-    # partial[m] = sum_{k<m} rho^k, so c0 = partial[steps], w_j = partial[steps-1-j]
-    partial = list(itertools.accumulate(((1.0 - theta_dt) ** k for k in range(steps)), initial=0.0))
     if len(out) > 1:
         # term carries x_k; out[k + 1] holds step k's log-return until its own turn
         np.copyto(term, log_ratio)
@@ -277,14 +281,15 @@ def simulate_batch(
     multiplies the asset by ``exp(spy*drift + scale * sum_k z_k)`` and the
     liability and every account by ``c = exp(spy*drift + theta*dt*(c0*x_0 +
     scale * sum_j w_j*z_j))``, with ``c0 = sum_{k<spy} rho^k`` and ``w_j =
-    sum_{m<spy-1-j} rho^m``. Both sums add the year's draw rows element-wise
-    in step order, so the bits depend neither on the draw layout nor on the
-    thread count. No account is stored: with ``C(t)`` the crediting from
-    time 0 to year ``t`` and ``R(s) = sum_{j<s} y/C(j)`` (a ring of the
-    ``n_generations + 1`` latest sums), generation ``i``'s account right
-    after the jump at year ``t`` is ``C(t) * (R(t+1) - R(i - n_generations))``,
-    or ``C(t) * (entry + R(t+1))`` for an entry generation, and its benefit
-    is that account at the start of its last year times that year's ``c``.
+    sum_{m<spy-1-j} rho^m``, computed once per call. Both sums add the year's
+    draw rows element-wise in step order, so the bits depend neither on the
+    draw layout nor on the thread count. No account is stored: with ``C(t)``
+    the crediting from time 0 to year ``t`` and ``R(s) = sum_{j<s} y/C(j)``
+    (a ring of the ``n_generations + 1`` latest sums), generation ``i``'s
+    account right after the jump at year ``t`` is ``C(t) * (R(t+1) - R(i -
+    n_generations))``, or ``C(t) * (entry + R(t+1))`` for an entry
+    generation, and its benefit is that account at the start of its last
+    year times that year's ``c``.
 
     Recordings are computed only when asked for and never feed the state, so
     recording leaves the results unchanged bit for bit. A recorded sample is
@@ -297,6 +302,12 @@ def simulate_batch(
     ends at its benefit, bit for bit. Each year is copied into the row-major
     record in one block. The funding ratio is never stored per path: its
     mean sums each step's row of ``A/L`` over the live paths.
+
+    The benefits are written one contiguous row per year into a time-major
+    ``(horizon, n_paths)`` buffer, copied once at the end, in blocks of
+    paths, into the row-major ``payments``: a column write per year would
+    touch one cache line per path. The dead paths are held as an index
+    array, not a mask.
     """
     spy = cfg.steps_per_year
     n_steps = cfg.n_steps
@@ -306,6 +317,8 @@ def simulate_batch(
 
     drift, scale = _increment_coefficients(mkt, policy.pi, cfg.dt)
     theta_dt = policy.theta * cfg.dt
+    # the crediting weights: partial[m] = sum_{k<m} rho^k
+    partial = list(itertools.accumulate(((1.0 - theta_dt) ** k for k in range(spy)), initial=0.0))
 
     entry = np.array([entry_cohort_account(i, cfg, mkt.r) for i in range(1, n + 1)])
     a0 = float(entry.sum())
@@ -314,7 +327,7 @@ def simulate_batch(
     cum_credit = np.ones(n_paths)  # C(t)
     sums = np.zeros((n + 1, n_paths))  # R(s) in row s % (n + 1)
     bankrupt_at = np.full(n_paths, np.nan)
-    payments = np.full((n_paths, cfg.horizon), np.nan)
+    paid = np.empty((cfg.horizon, n_paths))  # every row is written, one per year
 
     def account(i: int, t: int, out=None) -> np.ndarray:
         """Generation ``i``'s account right after the jump at year ``t``."""
@@ -345,7 +358,7 @@ def simulate_batch(
     # Dead paths are frozen at a finite state (asset = liability = 1) at every
     # year boundary: nothing recorded reads them, and keeping them finite
     # means the loop raises no floating-point event.
-    dead = None  # mask of the dead paths, once there are any
+    dead = None  # indices of the dead paths, once there are any
     min_ratio = math.inf
     benefit = np.zeros(n_paths)
     retiring = np.empty(n_paths)  # the next retiree's account
@@ -363,11 +376,11 @@ def simulate_batch(
         np.greater(assets, 0.0, out=survived)
         if dead is not None or not survived.all():
             bankrupt_at[np.isnan(bankrupt_at) & ~survived] = t
-            dead = ~np.isnan(bankrupt_at)
+            dead = np.flatnonzero(~np.isnan(bankrupt_at))
         if t >= 1:
             if dead is not None:
                 benefit[dead] = np.nan
-            payments[:, t - 1] = benefit
+            paid[t - 1] = benefit
         if t == cfg.horizon:
             break
         if dead is not None:
@@ -385,7 +398,7 @@ def simulate_batch(
         np.divide(assets, liabilities, out=log_ratio)
         np.log(log_ratio, out=log_ratio)
         _growth_so_far(year, drift, scale, growth)
-        _credit_so_far(year, log_ratio, drift, scale, theta_dt, credit, term)
+        _credit_so_far(year, log_ratio, drift, scale, theta_dt, partial, credit, term)
 
         # the year's recordings, NaN on paths dead before it began
         for i in tracked_generations:
@@ -418,6 +431,9 @@ def simulate_batch(
             else:
                 span[:] = np.nan
 
+    payments = np.empty((n_paths, cfg.horizon))
+    for lo in range(0, n_paths, _COPY_BLOCK):
+        payments[lo : lo + _COPY_BLOCK] = paid[:, lo : lo + _COPY_BLOCK].T
     return SimulationBatch(
         payments=payments,
         bankrupt_at=bankrupt_at,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +130,13 @@ def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     so batched and single-path simulations consume bit-identical numbers.
     Storage is time-major: the result is the transpose of a C-contiguous
     ``(n_steps, n_paths)`` array, so the draws of one step across all paths
-    (``out[:, step]``) are contiguous. Every call generates a new read-only
-    array; callers that score many policies on the same draws keep it (an
-    :class:`~cdcfund.objective.ObjectiveSpec` owns its matrix).
+    (``out[:, step]``) are contiguous. The paths are split into one
+    contiguous range per CPU of this process's affinity mask (at most one
+    per path), each filled by its own thread: a path's draws depend only on
+    ``(seed, p)``, so the bits do not depend on the CPU count. Every call
+    generates a new read-only array; callers that score many policies on
+    the same draws keep it (an :class:`~cdcfund.objective.ObjectiveSpec`
+    owns its matrix).
     """
     _check_integer("n_paths", n_paths)
     _check_integer("n_steps", n_steps)
@@ -139,7 +144,24 @@ def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    return _normal_rows(seed, 0, n_paths, n_steps)
+    out = np.empty((n_steps, n_paths))
+    threads = min(_usable_cpus(), n_paths)
+    if threads < 2:
+        _fill_rows(seed, 0, out)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        bounds = [n_paths * k // threads for k in range(threads + 1)]
+        with ThreadPoolExecutor(threads) as pool:
+            # list() re-raises a thread's exception here
+            list(pool.map(lambda lo, hi: _fill_rows(seed, lo, out[:, lo:hi]), bounds, bounds[1:]))
+    out.setflags(write=False)
+    return out.T
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask, or 1 where there is none."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _normal_rows(seed: int, lo: int, hi: int, n_steps: int) -> np.ndarray:
@@ -147,20 +169,28 @@ def _normal_rows(seed: int, lo: int, hi: int, n_steps: int) -> np.ndarray:
     any ``n_paths >= hi``, in the same time-major layout: row ``p - lo`` is
     stream ``(seed, p)``, so a block of paths can be drawn where it is used."""
     out = np.empty((n_steps, hi - lo))
+    _fill_rows(seed, lo, out)
+    out.setflags(write=False)
+    return out.T
+
+
+def _fill_rows(seed: int, lo: int, out: np.ndarray) -> None:
+    """Fill column ``j`` of the ``(n_steps, k)`` array ``out`` with the first
+    ``n_steps`` draws of stream ``(seed, lo + j)``. Each call uses its own
+    generator, so calls on disjoint columns may run on different threads."""
+    n_steps, n_paths = out.shape
     # one Philox generator re-keyed to (seed, p) at counter 0 for each path
     # gives the same draws as a fresh RandomStream(seed, p)
     gen = RandomStream(seed).generator()
     bitgen = gen.bit_generator
     state = bitgen.state
     counter = np.zeros(4, dtype=np.uint64)
-    block = np.empty((min(_PATH_BLOCK, hi - lo), n_steps))
-    for start in range(lo, hi, _PATH_BLOCK):
-        rows = block[: min(_PATH_BLOCK, hi - start)]
+    block = np.empty((min(_PATH_BLOCK, n_paths), n_steps))
+    for start in range(0, n_paths, _PATH_BLOCK):
+        rows = block[: min(_PATH_BLOCK, n_paths - start)]
         for j, row in enumerate(rows):
-            key_p = np.array([seed, start + j], dtype=np.uint64)
+            key_p = np.array([seed, lo + start + j], dtype=np.uint64)
             state["state"] = {"counter": counter, "key": key_p}
             bitgen.state = state
             gen.standard_normal(out=row)
-        out[:, start - lo : start - lo + len(rows)] = rows.T
-    out.setflags(write=False)
-    return out.T
+        out[:, start : start + len(rows)] = rows.T

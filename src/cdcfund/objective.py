@@ -8,14 +8,15 @@ bankruptcy in the batch zeroes the certainty equivalent (soft constraint).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .fund import FundConfig, PolicyParams, SimulationBatch, _solvency_margin, simulate_batch
-from .market import MarketParams, _check_integer, _check_uint64, _normal_rows, normal_matrix
+from .market import (
+    MarketParams, _check_integer, _check_uint64, _normal_rows, _usable_cpus, normal_matrix,
+)
 
 __all__ = [
     "ObjectiveSpec",
@@ -181,8 +182,7 @@ def _fork_map(fn, items) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(items))
+    workers = min(_usable_cpus(), len(items))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
     # under fork the initializer's argument is inherited, not pickled

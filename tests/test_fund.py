@@ -309,6 +309,22 @@ class TestSimulateBatch:
             margins.append(margin)
         assert np.sign(batch.solvency_margin) == np.sign(min(margins))
 
+    @pytest.mark.parametrize("horizon, shock_years", [(1, (0,)), (100, (0, 49, 99))])
+    def test_every_payment_written_through_bankruptcy(self, horizon, shock_years):
+        # the engine writes its payments into an uninitialized buffer: paths
+        # that go bankrupt in the first, a middle and the last year beside a
+        # solvent one match the year-step oracle cell for cell, NaN included
+        cfg, policy = FundConfig(horizon=horizon), PolicyParams(pi=3.0, theta=0.0)
+        z = np.zeros((len(shock_years) + 1, cfg.n_steps))  # the last path never shocked
+        for p, year in enumerate(shock_years):
+            z[p, year * cfg.steps_per_year] = -40.0  # the assets fall below the next payout
+        batch = simulate_batch(cfg, policy, M1, z)
+        expected_at = [year + 1.0 for year in shock_years] + [np.nan]
+        assert np.array_equal(batch.bankrupt_at, expected_at, equal_nan=True)
+        for p, row in enumerate(z):
+            payments, _, _ = simulate_path_year_step(cfg, policy, M1, row)
+            assert np.allclose(payments, batch.payments[p], rtol=1e-12, atol=0, equal_nan=True)
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps,
         reason="np.longdouble is no wider than float64 here",

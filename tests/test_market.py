@@ -1,4 +1,6 @@
+import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -111,6 +113,12 @@ class TestLogReturnIncrement:
         assert np.allclose(values[1:], expected, rtol=1e-12)
 
 
+@functools.lru_cache(maxsize=None)
+def _stream_rows(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
+    """The first ``n_steps`` draws of each stream ``(seed, p)``, one row per path."""
+    return np.array([RandomStream(seed, p).normals(n_steps) for p in range(n_paths)])
+
+
 class TestRandomStream:
     def test_bit_identical_replay(self):
         a = RandomStream(42, 7).normals(1000)
@@ -155,6 +163,35 @@ class TestRandomStream:
         parts = [_normal_rows(7, lo, hi, 13) for lo, hi in zip(bounds, bounds[1:])]
         assert all(part.T.flags.c_contiguous and not part.flags.writeable for part in parts)
         assert np.vstack(parts).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 10_000])
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 2501])
+    def test_threads_are_capped_by_the_paths(self, monkeypatch, cpus, n_paths):
+        # a stub executor maps in this thread and records the thread count it
+        # was asked for, so no thread starts whatever the CPU count
+        asked = []
+
+        class Executor:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Executor)
+        # a seed per CPU count, so no case finds its draws in memory freed by another
+        mat = normal_matrix(cpus, n_paths, 13)
+        threads = min(cpus, n_paths)
+        assert asked == ([threads] if threads > 1 else [])
+        assert np.array_equal(mat, _stream_rows(cpus, n_paths, 13))
+        assert not mat.flags.writeable and mat.T.flags.c_contiguous
 
     def test_matrix_stored_time_major(self):
         mat = normal_matrix(12, 5, 30)

@@ -12,8 +12,10 @@ and so on), which pins the recordings away from monthly steps, a 3 x 3
 ``grid`` (once more pinned to one CPU as ``grid-one-cpu``, whose digests
 must equal those of ``grid``, and once more in market M3 as ``grid-m3``,
 where the bankruptcy boundary crosses the lattice), ``optimize --fast``,
-and ``run-cell --fast`` at seeds 1 and 2, each in a fresh interpreter that
-imports ``cdcfund`` from ``DIR`` (default: the ``src`` directory of the
+and ``run-cell --fast`` at seeds 1 and 2 (seed 1 once more pinned to one CPU
+as ``run-cell-one-cpu``, which draws its matrices on one thread and whose
+digests must equal those of ``run-cell-seed1``), each in a fresh interpreter
+that imports ``cdcfund`` from ``DIR`` (default: the ``src`` directory of the
 checkout holding this script), with outputs in a temporary directory. One
 ``sha256  run/file`` line is printed per file written and per non-empty
 stdout, an ``invalid-json  run/file`` line after it for a stdout or
@@ -66,9 +68,10 @@ RUNS = {
     "optimize": ["optimize", "--seed", "1", "--fast"],
     "run-cell-seed1": ["run-cell", "--seed", "1", "--fast"],
     "run-cell-seed2": ["run-cell", "--seed", "2", "--fast"],
+    "run-cell-one-cpu": ["run-cell", "--seed", "1", "--fast"],
 }
 # runs confined to the lowest CPU of this process's affinity mask
-ONE_CPU = {"evaluate-one-cpu", "grid-one-cpu"}
+ONE_CPU = {"evaluate-one-cpu", "grid-one-cpu", "run-cell-one-cpu"}
 
 
 def _sha256(data: bytes) -> str:
