@@ -116,6 +116,11 @@ class PolicyParams:
 class SimulationBatch:
     """Vectorized records across paths; rows are paths.
 
+    ``payments[p, t - 1]`` is path ``p``'s benefit at year ``t`` (NaN once it
+    is bankrupt): the ``(n_paths, horizon)`` transpose of a C-contiguous
+    time-major buffer, so a year's benefits (:meth:`benefits`) are one
+    contiguous row. Every other per-path array is C-contiguous by path.
+
     ``solvency_margin`` is negative exactly when some path went bankrupt:
     then it is minus the fraction of bankrupt paths, otherwise the smallest
     post-payout funding ratio over all paths and years. Optional fields are
@@ -171,10 +176,6 @@ def _path_count(cfg: FundConfig, normals: np.ndarray) -> int:
             f"normals must have shape (n_paths >= 1, {cfg.n_steps}), got {normals.shape}"
         )
     return normals.shape[0]
-
-
-# paths per block when the time-major benefits are copied into path rows
-_COPY_BLOCK = 512
 
 
 def _store_year(record: np.ndarray, year: np.ndarray, first: int, dead) -> None:
@@ -304,10 +305,9 @@ def simulate_batch(
     mean sums each step's row of ``A/L`` over the live paths.
 
     The benefits are written one contiguous row per year into a time-major
-    ``(horizon, n_paths)`` buffer, copied once at the end, in blocks of
-    paths, into the row-major ``payments``: a column write per year would
-    touch one cache line per path. The dead paths are held as an index
-    array, not a mask.
+    ``(horizon, n_paths)`` buffer, whose transpose is ``payments``: a column
+    write per year into path rows would touch one cache line per path. The
+    dead paths are held as an index array, not a mask.
     """
     spy = cfg.steps_per_year
     n_steps = cfg.n_steps
@@ -431,11 +431,8 @@ def simulate_batch(
             else:
                 span[:] = np.nan
 
-    payments = np.empty((n_paths, cfg.horizon))
-    for lo in range(0, n_paths, _COPY_BLOCK):
-        payments[lo : lo + _COPY_BLOCK] = paid[:, lo : lo + _COPY_BLOCK].T
     return SimulationBatch(
-        payments=payments,
+        payments=paid.T,
         bankrupt_at=bankrupt_at,
         horizon=cfg.horizon,
         steps_per_year=spy,

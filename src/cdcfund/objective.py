@@ -116,32 +116,37 @@ def certainty_equivalent_stderr(eu: float, eu_stderr: float, gamma: float) -> fl
     return abs(ce / ((1.0 - gamma) * eu)) * eu_stderr
 
 
-def value_from_batch(batch: SimulationBatch, cfg: FundConfig) -> ObjectiveValue:
-    """Score an already simulated batch under the config's preferences.
+def _path_utilities(payments: np.ndarray, cfg: FundConfig) -> np.ndarray:
+    """Each path's discounted utility of its ``(n_paths, horizon)`` payments:
+    the utilities of each year's row, made contiguous, times the year's
+    discount, added in year order, so a path's bits depend neither on the
+    other paths nor on the layout of ``payments``."""
+    discounts = cfg.beta ** np.arange(1, payments.shape[1] + 1)
+    per_path = np.zeros(len(payments))
+    for row, discount in zip(payments.T, discounts):
+        per_path += crra_utility(np.ascontiguousarray(row), cfg.gamma) * discount
+    return per_path
 
-    The reduction over paths is a fixed-order mean, so repeated runs with the
-    same draws are bit-identical.
-    """
-    n_bankrupt = batch.n_bankrupt
+
+def _value(per_path, n_bankrupt: int, margin: float, gamma: float) -> ObjectiveValue:
+    """The value of a batch from its paths' discounted utilities in path
+    order (unread if ``n_bankrupt > 0``): a fixed-order mean, so it repeats
+    bit for bit on the same draws."""
     if n_bankrupt > 0:
-        return ObjectiveValue(
-            ce=0.0, eu=float("nan"), eu_stderr=float("nan"),
-            any_bankruptcy=True, n_bankrupt=n_bankrupt,
-            solvency_margin=batch.solvency_margin,
-        )
-    discounts = cfg.beta ** np.arange(1, batch.horizon + 1)
-    per_path = crra_utility(batch.payments, cfg.gamma) @ discounts
+        return ObjectiveValue(ce=0.0, eu=float("nan"), eu_stderr=float("nan"),
+                              any_bankruptcy=True, n_bankrupt=n_bankrupt, solvency_margin=margin)
     eu = float(per_path.mean())
     n = per_path.size
     stderr = float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return ObjectiveValue(
-        ce=certainty_equivalent(eu, cfg.gamma),
-        eu=eu,
-        eu_stderr=stderr,
-        any_bankruptcy=False,
-        n_bankrupt=0,
-        solvency_margin=batch.solvency_margin,
-    )
+    return ObjectiveValue(ce=certainty_equivalent(eu, gamma), eu=eu, eu_stderr=stderr,
+                          any_bankruptcy=False, n_bankrupt=0, solvency_margin=margin)
+
+
+def value_from_batch(batch: SimulationBatch, cfg: FundConfig) -> ObjectiveValue:
+    """Score an already simulated batch under the config's preferences."""
+    n_bankrupt = batch.n_bankrupt
+    per_path = None if n_bankrupt else _path_utilities(batch.payments, cfg)
+    return _value(per_path, n_bankrupt, batch.solvency_margin, cfg.gamma)
 
 
 def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue:
@@ -197,28 +202,26 @@ def _evaluate_in_blocks(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveV
     """:func:`evaluate_policy`, bit for bit, with each block of paths drawn and
     simulated on its own, so no process holds the whole draw matrix.
 
-    A block returns its payments, bankrupt years and margin; the parent puts
-    them back in path order and scores the whole batch once, because the
-    utility's matrix product is not row-invariant.
+    A block returns its paths' discounted utilities (None if one is bankrupt),
+    bankrupt years and margin, not its payments; the parent joins them in
+    path order.
     """
     cfg = spec.cfg
 
-    def simulate_block(lo: int) -> tuple[np.ndarray, np.ndarray, float]:
+    def score_block(lo: int) -> tuple[np.ndarray | None, np.ndarray, float]:
         hi = min(lo + _EVAL_BLOCK, spec.n_paths)
         normals = _normal_rows(spec.seed, lo, hi, cfg.n_steps)
         batch = simulate_batch(cfg, policy, spec.mkt, normals)
-        return batch.payments, batch.bankrupt_at, batch.solvency_margin
+        per_path = None if batch.any_bankruptcy else _path_utilities(batch.payments, cfg)
+        return per_path, batch.bankrupt_at, batch.solvency_margin
 
-    payments, bankrupt_at, margins = zip(
-        *_fork_map(simulate_block, range(0, spec.n_paths, _EVAL_BLOCK))
+    per_path, bankrupt_at, margins = zip(
+        *_fork_map(score_block, range(0, spec.n_paths, _EVAL_BLOCK))
     )
-    payments, bankrupt_at = np.concatenate(payments), np.concatenate(bankrupt_at)
-    batch = SimulationBatch(
-        payments=payments, bankrupt_at=bankrupt_at, horizon=cfg.horizon,
-        steps_per_year=cfg.steps_per_year,
-        solvency_margin=_solvency_margin(bankrupt_at, min(margins)),
-    )
-    return value_from_batch(batch, cfg)
+    bankrupt_at = np.concatenate(bankrupt_at)
+    n_bankrupt = int(np.count_nonzero(~np.isnan(bankrupt_at)))
+    per_path = None if n_bankrupt else np.concatenate(per_path)
+    return _value(per_path, n_bankrupt, _solvency_margin(bankrupt_at, min(margins)), cfg.gamma)
 
 
 def evaluate_policies(policies, spec: ObjectiveSpec) -> list[ObjectiveValue]:

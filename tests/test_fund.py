@@ -590,11 +590,13 @@ class TestEngineLayout:
     @pytest.mark.parametrize("pi, theta", [(0.865, 0.345), (3.0, 0.0)])
     def test_results_c_contiguous_with_path_rows(self, pi, theta):
         # each path's record is one contiguous row; the funding ratio is
-        # streamed as one mean per step
+        # streamed as one mean per step; the payments are the transpose of a
+        # time-major buffer, one contiguous row per year
         batch = _full_run(pi, theta)
         n_paths, samples = 48, CFG.n_steps + 1
+        assert batch.payments.shape == (n_paths, CFG.horizon)
+        assert batch.payments.T.flags.c_contiguous and not batch.payments.flags.c_contiguous
         shapes = {
-            "payments": (n_paths, CFG.horizon),
             "bankrupt_at": (n_paths,),
             "mean_funding_ratio": (samples,),
             "assets": (n_paths, samples),

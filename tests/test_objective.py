@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcfund.fund import FundConfig, PolicyParams, SimulationBatch
+from cdcfund import objective
+from cdcfund.fund import FundConfig, PolicyParams, SimulationBatch, simulate_batch
 from cdcfund.market import _normal_rows, preset_market
 from cdcfund.objective import (
     ObjectiveSpec,
@@ -21,7 +22,7 @@ from cdcfund.objective import (
     evaluate_policy,
     value_from_batch,
 )
-from draws import record_generated
+from draws import draws, record_generated
 
 M1 = preset_market("M1")
 GAMMA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 10.0)
@@ -77,6 +78,35 @@ class TestDiscountedUtilitySum:
     def test_propagates_domain_error(self):
         with pytest.raises(ValueError):
             one_path_eu(np.array([1.0, 0.0]), 0.98, 2.0)
+
+
+class TestPathUtilities:
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0, 10.0])
+    def test_each_path_independent_of_the_other_rows_and_the_layout(self, gamma):
+        # a path's utility is the same whichever block of paths it is scored
+        # in, and whether the payments are the engine's time-major view or a
+        # path-major copy
+        cfg = FundConfig(horizon=30, gamma=gamma)
+        batch = simulate_batch(cfg, PolicyParams(0.865, 0.345), M1, draws(5, 4_001, cfg.n_steps))
+        assert not batch.any_bankruptcy and batch.payments.T.flags.c_contiguous
+        whole = objective._path_utilities(batch.payments, cfg)
+        # against the matrix product: same-sign terms, so each sum is within
+        # horizon rounding errors of the exact one
+        product = crra_utility(batch.payments, gamma) @ cfg.beta ** np.arange(1, cfg.horizon + 1)
+        rtol = 2 * cfg.horizon * np.finfo(float).eps
+        np.testing.assert_allclose(whole, product, rtol=rtol, atol=0)
+        for size in (1, 7, 1_000, 3_333):
+            parts = [objective._path_utilities(batch.payments[lo : lo + size], cfg)
+                     for lo in range(0, 4_001, size)]
+            assert np.array_equal(np.concatenate(parts), whole), size
+        path_major = np.ascontiguousarray(batch.payments)
+        assert path_major.flags.c_contiguous
+        assert np.array_equal(objective._path_utilities(path_major, cfg), whole)
+        copied = SimulationBatch(
+            payments=path_major, bankrupt_at=batch.bankrupt_at, horizon=batch.horizon,
+            steps_per_year=batch.steps_per_year, solvency_margin=batch.solvency_margin,
+        )
+        assert value_from_batch(copied, cfg) == value_from_batch(batch, cfg)
 
 
 class TestCertaintyEquivalent:
@@ -316,6 +346,40 @@ class TestEvaluatePolicies:
         evaluate_policies([self.POLICIES[1]], spec)
         assert drawn == [(0, 1_000), (1_000, 2_000), (2_000, 2_393)]
         assert not made and "normals" not in vars(spec)
+
+    @pytest.mark.parametrize("policy, blocks_bankrupt", [
+        (PolicyParams(0.865, 0.345), [False, False, False]),
+        # found by a loop over seeds 0-5 at pi = 3, theta = 1: seed 0 sends
+        # two paths of the second block, and none of the others, bankrupt
+        (PolicyParams(3.0, 1.0), [False, True, False]),
+        (PolicyParams(3.0, 0.0), [True, True, True]),
+    ], ids=["solvent", "one-block-bankrupt", "bankrupt"])
+    def test_blocks_send_back_per_path_values_not_payments(
+        self, monkeypatch, policy, blocks_bankrupt
+    ):
+        results = []
+        fork_map = objective._fork_map
+
+        def recording(fn, items):
+            out = fork_map(fn, items)
+            results.append(out)
+            return out
+
+        monkeypatch.setattr("cdcfund.objective._fork_map", recording)
+        n_paths = 2_393
+        spec = ObjectiveSpec(cfg=FundConfig(), mkt=M1, n_paths=n_paths, seed=0)
+        [value] = evaluate_policies([policy], spec)
+        [blocks] = results
+        assert len(blocks) == len(blocks_bankrupt)
+        for k, (block, bankrupt) in enumerate(zip(blocks, blocks_bankrupt)):
+            size = min(n_paths - k * 1_000, 1_000)
+            per_path, bankrupt_at, margin = block
+            assert (per_path is None) is bankrupt
+            arrays = [bankrupt_at] if bankrupt else [per_path, bankrupt_at]
+            assert all(a.ndim == 1 and len(a) == size for a in arrays)
+            assert isinstance(margin, float) and (margin < 0.0) is bankrupt
+        # NaN-aware, n_bankrupt and margin included
+        assert repr(value) == repr(evaluate_policy(policy, spec))
 
     @pytest.mark.parametrize("policies, n_paths, workers", [
         (POLICIES, 20, 5),  # one worker per policy

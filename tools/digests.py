@@ -4,7 +4,9 @@ Usage: ``python tools/digests.py [--src DIR]``
 
 Runs ``evaluate``, ``simulate`` and ``analyze`` each at a solvent and at a
 bankrupt policy (``evaluate`` once more pinned to one CPU as
-``evaluate-one-cpu``, whose digest must equal that of ``evaluate``),
+``evaluate-one-cpu``, whose digest must equal that of ``evaluate``, and once
+more at 10k paths as ``evaluate-few-bankrupt``, whose 10 bankrupt paths fall
+in 6 of its 10 path blocks),
 ``analyze`` once more on 2 paths that are both bankrupt before generation 41
 retires (``analyze-all-bankrupt``), ``simulate`` and ``analyze`` at the
 solvent policy once more at yearly and at weekly steps (``simulate-yearly``
@@ -51,6 +53,7 @@ RUNS = {
     "evaluate": ["evaluate", "--seed", "1", *SOLVENT],
     "evaluate-one-cpu": ["evaluate", "--seed", "1", *SOLVENT],
     "evaluate-bankrupt": ["evaluate", "--seed", "1", "--fast", *BANKRUPT],
+    "evaluate-few-bankrupt": ["evaluate", "--seed", "1", "--pi", "3.0", "--theta", "1.0"],
     "grid": ["grid", "--seed", "1", "--fast", "--resolution", "3"],
     "grid-one-cpu": ["grid", "--seed", "1", "--fast", "--resolution", "3"],
     "grid-m3": ["grid", "--config", "m3.json", "--seed", "1", "--fast", "--resolution", "3"],
