@@ -286,8 +286,10 @@ def _lattice(resolution: int) -> list[PolicyParams]:
 
 
 def run_grid_oracle(config: ExperimentConfig, resolution: int):
-    """Evaluate the objective on a full lattice over the search box, one
-    policy per worker process at a time (see ``evaluate_policies``).
+    """Evaluate the objective on a full lattice over the search box, in
+    path blocks drawn by the worker processes that score them, each block's
+    year totals summed once for the policies scored on it (see
+    ``evaluate_policies``).
 
     Returns (rows, argmax_row) where each row is (pi, theta, ce, eu,
     eu_stderr, n_bankrupt). The lattice includes the box corners.

@@ -204,26 +204,43 @@ def _check_window(generations, cfg: FundConfig, role: str) -> None:
             )
 
 
-def _growth_so_far(year: np.ndarray, drift: float, scale: float, out: np.ndarray) -> None:
+def _year_total(year: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the row ``out`` with the sum of a year's ``(steps, n_paths)`` draw
+    rows and return it: a sequential row loop in step order, so the bits do
+    not depend on the draw layout."""
+    np.copyto(out, year[0])
+    for z in year[1:]:
+        out += z
+    return out
+
+
+def _year_totals(cfg: FundConfig, normals: np.ndarray) -> np.ndarray:
+    """The read-only ``(horizon, n_paths)`` year totals of a draw matrix: row
+    ``t`` is :func:`_year_total` of year ``t``'s draws. Summed once, they
+    serve every policy scored on the matrix, with the same bits."""
+    totals = np.empty((cfg.horizon, _path_count(cfg, normals)))
+    for row, year in zip(totals, np.split(normals, cfg.horizon, axis=1)):
+        _year_total(year.T, row)
+    totals.setflags(write=False)
+    return totals
+
+
+def _growth_so_far(year, drift, scale, out, total=None) -> None:
     """Fill ``out`` with the portfolio's growth so far over a year of
     ``(steps, n_paths)`` draw rows at step log-returns ``drift + scale *
     z_k``: ``exp`` of their running sum in step order, then the year's own
-    factor ``exp(steps*drift + scale * sum_k z_k)``. A one-row ``out`` gets
-    that factor alone."""
+    factor ``exp(steps*drift + scale * total)`` from the year's draw total
+    (:func:`_year_total`, summed into the last row unless given). A one-row
+    ``out`` gets that factor alone."""
     if len(out) > 1:
         np.multiply(year[:-1], scale, out=out[:-1])
         out[:-1] += drift
         for k in range(1, len(year) - 1):
             out[k] += out[k - 1]
         np.exp(out[:-1], out=out[:-1])
-    # a sequential row loop: the same bits whatever the draw layout
-    z_sum = out[-1]
-    np.copyto(z_sum, year[0])
-    for z in year[1:]:
-        z_sum += z
-    z_sum *= scale
-    z_sum += len(year) * drift
-    np.exp(z_sum, out=z_sum)
+    last = np.multiply(_year_total(year, out[-1]) if total is None else total, scale, out=out[-1])
+    last += len(year) * drift
+    np.exp(last, out=last)
 
 
 def _credit_so_far(year, log_ratio, drift, scale, theta_dt, partial, out, term) -> None:
@@ -265,6 +282,7 @@ def simulate_batch(
     record_funding_ratios: bool = False,
     record_state: bool = False,
     tracked_generations: tuple[int, ...] = (),
+    year_totals: np.ndarray | None = None,
 ) -> SimulationBatch:
     """Simulate one path per row of the ``(n_paths, n_steps)`` draw matrix
     ``normals``, vectorized across paths.
@@ -284,7 +302,10 @@ def simulate_batch(
     scale * sum_j w_j*z_j))``, with ``c0 = sum_{k<spy} rho^k`` and ``w_j =
     sum_{m<spy-1-j} rho^m``, computed once per call. Both sums add the year's
     draw rows element-wise in step order, so the bits depend neither on the
-    draw layout nor on the thread count. No account is stored: with ``C(t)``
+    draw layout nor on the thread count. ``year_totals``, the ``(horizon,
+    n_paths)`` :func:`_year_totals` of ``normals``, saves the first sum: a
+    caller that scores many policies on one matrix sums it once, and the
+    results keep their bits. No account is stored: with ``C(t)``
     the crediting from time 0 to year ``t`` and ``R(s) = sum_{j<s} y/C(j)``
     (a ring of the ``n_generations + 1`` latest sums), generation ``i``'s
     account right after the jump at year ``t`` is ``C(t) * (R(t+1) - R(i -
@@ -314,6 +335,9 @@ def simulate_batch(
     n = cfg.n_generations
     _check_window(tracked_generations, cfg, "tracked")
     n_paths = _path_count(cfg, normals)
+    if year_totals is not None and year_totals.shape != (cfg.horizon, n_paths):
+        raise ValueError(f"year_totals must have shape {(cfg.horizon, n_paths)}, "
+                         f"got {year_totals.shape}")
 
     drift, scale = _increment_coefficients(mkt, policy.pi, cfg.dt)
     theta_dt = policy.theta * cfg.dt
@@ -397,7 +421,7 @@ def simulate_batch(
         year = normals[:, t * spy : (t + 1) * spy].T
         np.divide(assets, liabilities, out=log_ratio)
         np.log(log_ratio, out=log_ratio)
-        _growth_so_far(year, drift, scale, growth)
+        _growth_so_far(year, drift, scale, growth, None if year_totals is None else year_totals[t])
         _credit_so_far(year, log_ratio, drift, scale, theta_dt, partial, credit, term)
 
         # the year's recordings, NaN on paths dead before it began

@@ -135,8 +135,10 @@ def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     per path), each filled by its own thread: a path's draws depend only on
     ``(seed, p)``, so the bits do not depend on the CPU count. Every call
     generates a new read-only array; callers that score many policies on
-    the same draws keep it (an :class:`~cdcfund.objective.ObjectiveSpec`
-    owns its matrix).
+    the same draws in this process keep it (an
+    :class:`~cdcfund.objective.ObjectiveSpec` owns its matrix).
+    :func:`~cdcfund.objective.evaluate_policies` never generates it: each
+    block of paths is drawn where it is scored, by :func:`_normal_rows`.
     """
     _check_integer("n_paths", n_paths)
     _check_integer("n_steps", n_steps)

@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .fund import FundConfig, PolicyParams, SimulationBatch, _solvency_margin, simulate_batch
+from .fund import _year_totals
 from .market import (
     MarketParams, _check_integer, _check_uint64, _normal_rows, _usable_cpus, normal_matrix,
 )
@@ -34,10 +35,14 @@ __all__ = [
 class ObjectiveSpec:
     """Monte Carlo setup for scoring policies: fund, market, batch size, seed.
 
-    The spec owns its draws: :attr:`normals` is generated on first use and
-    kept for the spec's lifetime, so every policy scored on one spec runs on
-    the same market paths (common random numbers). A spec made with
-    ``dataclasses.replace`` starts without draws of its own.
+    Every policy scored on one spec runs on the same market paths, row ``p``
+    on stream ``(seed, p)`` (common random numbers). :func:`evaluate_policy`
+    scores in this process on the spec's own draws: :attr:`normals` and its
+    :attr:`year_totals` are generated on first use (the totals by the second
+    policy scored) and kept for the spec's lifetime.
+    :func:`evaluate_policies` never generates them: it draws the paths block
+    by block where they are scored. A spec made with ``dataclasses.replace``
+    starts without draws of its own.
     """
 
     cfg: FundConfig
@@ -56,6 +61,13 @@ class ObjectiveSpec:
         """The read-only ``(n_paths, n_steps)`` draw matrix: row ``p`` is
         stream ``(seed, p)``."""
         return normal_matrix(self.seed, self.n_paths, self.cfg.n_steps)
+
+    @cached_property
+    def year_totals(self) -> np.ndarray:
+        """The read-only ``(horizon, n_paths)`` totals of each year's draws of
+        :attr:`normals`, which :func:`~cdcfund.fund.simulate_batch` takes to
+        skip their sum: summed once for every policy scored on the spec."""
+        return _year_totals(self.cfg, self.normals)
 
 
 @dataclass(frozen=True)
@@ -128,37 +140,54 @@ def _path_utilities(payments: np.ndarray, cfg: FundConfig) -> np.ndarray:
     return per_path
 
 
-def _value(per_path, n_bankrupt: int, margin: float, gamma: float) -> ObjectiveValue:
-    """The value of a batch from its paths' discounted utilities in path
-    order (unread if ``n_bankrupt > 0``): a fixed-order mean, so it repeats
-    bit for bit on the same draws."""
+def _block_result(batch: SimulationBatch, cfg: FundConfig) -> tuple:
+    """What a block of paths sends back: its paths' discounted utilities
+    (None if one is bankrupt), bankrupt years and solvency margin."""
+    per_path = None if batch.any_bankruptcy else _path_utilities(batch.payments, cfg)
+    return per_path, batch.bankrupt_at, batch.solvency_margin
+
+
+def _value(blocks, gamma: float) -> ObjectiveValue:
+    """The value of a batch from its blocks' :func:`_block_result` in path
+    order: a fixed-order mean over the joined paths, so it repeats bit for
+    bit on the same draws, however they are split into blocks."""
+    per_path, bankrupt_at, margins = zip(*blocks)
+    bankrupt_at = np.concatenate(bankrupt_at)
+    n_bankrupt = int(np.count_nonzero(~np.isnan(bankrupt_at)))
+    margin = _solvency_margin(bankrupt_at, min(margins))
     if n_bankrupt > 0:
         return ObjectiveValue(ce=0.0, eu=float("nan"), eu_stderr=float("nan"),
                               any_bankruptcy=True, n_bankrupt=n_bankrupt, solvency_margin=margin)
+    per_path = np.concatenate(per_path)
     eu = float(per_path.mean())
-    n = per_path.size
-    stderr = float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    stderr = float(per_path.std(ddof=1) / np.sqrt(per_path.size)) if per_path.size > 1 else 0.0
     return ObjectiveValue(ce=certainty_equivalent(eu, gamma), eu=eu, eu_stderr=stderr,
                           any_bankruptcy=False, n_bankrupt=0, solvency_margin=margin)
 
 
 def value_from_batch(batch: SimulationBatch, cfg: FundConfig) -> ObjectiveValue:
     """Score an already simulated batch under the config's preferences."""
-    n_bankrupt = batch.n_bankrupt
-    per_path = None if n_bankrupt else _path_utilities(batch.payments, cfg)
-    return _value(per_path, n_bankrupt, batch.solvency_margin, cfg.gamma)
+    return _value([_block_result(batch, cfg)], cfg.gamma)
 
 
 def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue:
-    """Monte Carlo estimate of the policy's certainty equivalent."""
-    batch = simulate_batch(spec.cfg, policy, spec.mkt, spec.normals)
+    """Monte Carlo estimate of the policy's certainty equivalent.
+
+    The first policy scored on a spec generates its draws; from the second
+    on, the spec's year totals are summed once and given to the simulation,
+    so a spec scored once never holds them. The values have the same bits
+    either way."""
+    totals = spec.year_totals if "normals" in vars(spec) else None
+    batch = simulate_batch(spec.cfg, policy, spec.mkt, spec.normals, year_totals=totals)
     return value_from_batch(batch, spec.cfg)
 
 
-# paths per block when one policy is scored in blocks: the boundaries depend
-# on n_paths only, so the bits do not depend on the CPU count, and a block's
-# draws at monthly steps over 100 years take 9.6 MB
+# paths per block when one policy is scored, and the least per block when
+# several are: a block's draws at monthly steps over 100 years take 9.6 MB
 _EVAL_BLOCK = 1_000
+# the most paths per block when several policies are scored, so a block's
+# draws stay under 48 MB however few CPUs there are
+_LATTICE_BLOCK = 5_000
 
 _worker_fn = None  # a pool worker's function, set once at its start
 
@@ -198,46 +227,42 @@ def _fork_map(fn, items) -> list:
         return list(pool.map(_call_in_worker, items, chunksize=1))
 
 
-def _evaluate_in_blocks(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue:
-    """:func:`evaluate_policy`, bit for bit, with each block of paths drawn and
-    simulated on its own, so no process holds the whole draw matrix.
-
-    A block returns its paths' discounted utilities (None if one is bankrupt),
-    bankrupt years and margin, not its payments; the parent joins them in
-    path order.
-    """
-    cfg = spec.cfg
-
-    def score_block(lo: int) -> tuple[np.ndarray | None, np.ndarray, float]:
-        hi = min(lo + _EVAL_BLOCK, spec.n_paths)
-        normals = _normal_rows(spec.seed, lo, hi, cfg.n_steps)
-        batch = simulate_batch(cfg, policy, spec.mkt, normals)
-        per_path = None if batch.any_bankruptcy else _path_utilities(batch.payments, cfg)
-        return per_path, batch.bankrupt_at, batch.solvency_margin
-
-    per_path, bankrupt_at, margins = zip(
-        *_fork_map(score_block, range(0, spec.n_paths, _EVAL_BLOCK))
-    )
-    bankrupt_at = np.concatenate(bankrupt_at)
-    n_bankrupt = int(np.count_nonzero(~np.isnan(bankrupt_at)))
-    per_path = None if n_bankrupt else np.concatenate(per_path)
-    return _value(per_path, n_bankrupt, _solvency_margin(bankrupt_at, min(margins)), cfg.gamma)
-
-
 def evaluate_policies(policies, spec: ObjectiveSpec) -> list[ObjectiveValue]:
     """:func:`evaluate_policy` of each policy on the spec's draws, in order,
     on every CPU of this process's affinity mask.
 
-    Several policies share the spec's draws: they are generated once, and
-    forked workers that inherit them score one policy at a time. A single
-    policy is scored in fixed blocks of paths instead, each drawn where it
-    is simulated, so the whole draw matrix is never held (and the spec's is
-    not generated). The values are the same on any number of CPUs. A
-    worker's exception is re-raised here.
+    The paths are split into blocks, each drawn where it is scored, so the
+    spec's draws are never generated and no process holds them all. One
+    policy is scored in fixed blocks of ``_EVAL_BLOCK`` paths. Several are
+    scored on one block per usable CPU, of at least ``_EVAL_BLOCK`` paths
+    each and more blocks where one would exceed ``_LATTICE_BLOCK``. CPUs
+    the blocks leave over split the policies into groups, in order, and
+    each group draws every block again, so there is one task per usable
+    CPU, capped by the policies. A task sums its block's year totals once
+    for its group's policies and returns each one's per-path discounted
+    utilities (None if a path is bankrupt), bankrupt years and margin, not
+    its payments; each policy's are joined in path order. A path's utility
+    has the same bits in any block, so the values are the same on any
+    number of CPUs. A worker's exception is re-raised here.
     """
     policies = list(policies)
-    if len(policies) == 1:
-        return [_evaluate_in_blocks(policies[0], spec)]
-    if policies:
-        spec.normals  # generated once, before any worker starts
-    return _fork_map(lambda policy: evaluate_policy(policy, spec), policies)
+    cfg, n_paths, cpus = spec.cfg, spec.n_paths, _usable_cpus()
+    n_blocks = max(1, min(cpus, n_paths // _EVAL_BLOCK), -(-n_paths // _LATTICE_BLOCK))
+    bounds = ([*range(0, n_paths, _EVAL_BLOCK), n_paths] if len(policies) == 1
+              else [n_paths * k // n_blocks for k in range(n_blocks + 1)])
+    n_blocks = len(bounds) - 1
+    n_groups = min(len(policies), max(1, cpus // n_blocks))
+    groups = [policies[len(policies) * k // n_groups : len(policies) * (k + 1) // n_groups]
+              for k in range(n_groups)]
+
+    def score_block(lo: int, hi: int, group: list) -> list[tuple]:
+        normals = _normal_rows(spec.seed, lo, hi, cfg.n_steps)
+        # one policy sums each year's draws inside the year step, with no extra array
+        totals = _year_totals(cfg, normals) if len(group) > 1 else None
+        return [_block_result(simulate_batch(cfg, p, spec.mkt, normals, year_totals=totals), cfg)
+                for p in group]
+
+    tasks = [(lo, hi, group) for group in groups for lo, hi in zip(bounds, bounds[1:])]
+    per_task = _fork_map(lambda task: score_block(*task), tasks)
+    return [_value(scored, cfg.gamma) for k in range(n_groups)
+            for scored in zip(*per_task[k * n_blocks : (k + 1) * n_blocks])]

@@ -25,7 +25,7 @@ from cdcfund.cli import (
     run_cell,
     run_grid_oracle,
 )
-from cdcfund.market import preset_market
+from cdcfund.market import _normal_rows, preset_market
 from cdcfund.objective import evaluate_policy
 from draws import record_generated
 
@@ -178,10 +178,31 @@ class TestGridOracle:
         assert by_point[(3.0, 0.0)][2] == 0.0  # ce zeroed by bankruptcies
         assert by_point[(3.0, 0.0)][5] > 0  # bankruptcy count
 
-    def test_lattice_shares_one_draw_matrix(self, monkeypatch):
-        made = record_generated(monkeypatch)
-        run_grid_oracle(parse_config('{"n_paths": 20, "horizon": 30}'), 3)
-        assert len(made) == 1
+    def test_lattice_shares_one_draw_matrix(self, monkeypatch, tmp_path):
+        # the policies share their draws: a task draws its block of paths once
+        # for every policy it scores, so on one CPU each path is drawn once,
+        # and on more at most once per CPU; no process draws the whole matrix
+        log = tmp_path / "rows"
+
+        def recording(seed, lo, hi, n_steps):
+            with log.open("a") as fh:  # from whichever process draws
+                fh.write(f"{lo} {hi}\n")
+            return _normal_rows(seed, lo, hi, n_steps)
+
+        def whole(*args):
+            raise AssertionError("the whole draw matrix was generated")
+
+        monkeypatch.setattr("cdcfund.objective._normal_rows", recording)
+        monkeypatch.setattr("cdcfund.objective.normal_matrix", whole)
+        for cpus in (os.sched_getaffinity(0), {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            log.write_text("")
+            run_grid_oracle(parse_config('{"n_paths": 20, "horizon": 30}'), 3)
+            times_drawn = np.zeros(20, dtype=int)
+            for line in log.read_text().splitlines():
+                lo, hi = map(int, line.split())
+                times_drawn[lo:hi] += 1
+            assert len(set(times_drawn)) == 1 and 1 <= times_drawn[0] <= len(cpus)
 
     def test_rows_equal_a_serial_loop(self):
         config = parse_config('{"n_paths": 40, "horizon": 50, "seed": 3}')

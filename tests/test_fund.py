@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdcfund.fund import FundConfig, PolicyParams, entry_cohort_account, simulate_batch
+from cdcfund.fund import (
+    FundConfig, PolicyParams, _year_totals, entry_cohort_account, simulate_batch,
+)
 from cdcfund.idc import idc_terminal_benefits, idc_trajectories
 from cdcfund.market import RandomStream, normal_matrix, preset_market
 from draws import draws
@@ -43,6 +45,8 @@ RECORDED_FIELDS = {
 PATH_ARRAYS = ("payments", "bankrupt_at", "assets", "liabilities")
 # monthly, yearly (no step inside a year) and weekly inner steps
 STEP_SIZES = (1 / 12, 1.0, 1 / 52)
+# the engine sums each year's draws in its year step, or is given their totals
+TOTALS = pytest.mark.parametrize("totals", [False, True], ids=["summed", "given"])
 SIMULATORS = {
     "simulate_batch": lambda normals: simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, normals),
     "idc_terminal_benefits": lambda normals: idc_terminal_benefits(CFG, 0.5, M1, normals, (41,)),
@@ -258,12 +262,19 @@ class TestSimulatePath:
         assert np.all(bumped.payments[:10] >= base.payments[:10])
 
 
+def run(cfg, policy, mkt, normals, totals, **recordings):
+    """``simulate_batch``, given the draws' year totals if ``totals``."""
+    year_totals = _year_totals(cfg, normals) if totals else None
+    return simulate_batch(cfg, policy, mkt, normals, year_totals=year_totals, **recordings)
+
+
 class TestSimulateBatch:
+    @TOTALS
     @pytest.mark.parametrize("dt", STEP_SIZES)
-    def test_matches_single_path(self, dt):
+    def test_matches_single_path(self, dt, totals):
         cfg, policy = FundConfig(dt=dt), PolicyParams(pi=0.865, theta=0.345)
-        batch = simulate_batch(
-            cfg, policy, M1, draws(7, 4, cfg.n_steps),
+        batch = run(
+            cfg, policy, M1, draws(7, 4, cfg.n_steps), totals,
             record_state=True, tracked_generations=(41,),
         )
         ratios = batch.assets / batch.liabilities
@@ -278,9 +289,10 @@ class TestSimulateBatch:
                 equal_nan=True,
             )
 
-    def test_matches_single_path_through_bankruptcy(self):
+    @TOTALS
+    def test_matches_single_path_through_bankruptcy(self, totals):
         policy = PolicyParams(pi=3.0, theta=0.0)
-        batch = simulate_batch(CFG, policy, M1, draws(0, 30))
+        batch = run(CFG, policy, M1, draws(0, 30), totals)
         assert batch.n_bankrupt > 0
         for p in range(30):
             rec = simulate_path(CFG, policy, M1, RandomStream(0, p))
@@ -290,19 +302,21 @@ class TestSimulateBatch:
             ) and (np.isnan(expected) or expected == batch.bankrupt_at[p])
             assert np.allclose(rec.payments, batch.payments[p], rtol=1e-9, equal_nan=True)
 
+    @TOTALS
+    @pytest.mark.parametrize("dt", STEP_SIZES)
     @pytest.mark.parametrize("market", ["M1", "M2", "M3"])
     @pytest.mark.parametrize(
         "pi, theta, seed, n_paths", [(0.865, 0.345, 7, 4), (3.0, 0.0, 0, 30)]
     )
-    def test_matches_year_step_oracle(self, market, pi, theta, seed, n_paths):
+    def test_matches_year_step_oracle(self, market, pi, theta, seed, n_paths, dt, totals):
         # the scalar year step sums the log ratio by its recursion where the
         # engine uses fixed weights; everything else is the same arithmetic
-        policy, mkt = PolicyParams(pi, theta), preset_market(market)
-        batch = simulate_batch(CFG, policy, mkt, draws(seed, n_paths))
+        cfg, policy, mkt = FundConfig(dt=dt), PolicyParams(pi, theta), preset_market(market)
+        batch = run(cfg, policy, mkt, draws(seed, n_paths, cfg.n_steps), totals)
         margins = []
         for p in range(n_paths):
-            z = RandomStream(seed, p).normals(CFG.n_steps)
-            payments, bankrupt_at, margin = simulate_path_year_step(CFG, policy, mkt, z)
+            z = RandomStream(seed, p).normals(cfg.n_steps)
+            payments, bankrupt_at, margin = simulate_path_year_step(cfg, policy, mkt, z)
             assert np.allclose(payments, batch.payments[p], rtol=1e-12, atol=0, equal_nan=True)
             expected = np.nan if bankrupt_at is None else bankrupt_at
             assert np.array_equal([expected], batch.bankrupt_at[p : p + 1], equal_nan=True)
@@ -347,13 +361,14 @@ class TestSimulateBatch:
         error = np.abs((payments.astype(np.longdouble) - exact) / exact)
         assert float(np.nanmax(error)) <= bound
 
+    @TOTALS
     @pytest.mark.parametrize("dt", STEP_SIZES)
-    def test_recordings_match_single_path_through_bankruptcy(self, dt):
+    def test_recordings_match_single_path_through_bankruptcy(self, dt, totals):
         # funding ratios and tracked accounts are NaN from the bankruptcy
         # jump on, and equal the state machine's before it
         cfg, policy = FundConfig(dt=dt), PolicyParams(pi=3.0, theta=0.0)
-        batch = simulate_batch(
-            cfg, policy, M1, draws(0, 30, cfg.n_steps),
+        batch = run(
+            cfg, policy, M1, draws(0, 30, cfg.n_steps), totals,
             record_state=True, tracked_generations=(41, 60),
         )
         assert batch.n_bankrupt > 0
@@ -456,6 +471,41 @@ class TestSimulateBatch:
             assert np.array_equal(
                 a.account_trajectories[i], b.account_trajectories[i], equal_nan=True
             )
+
+    @pytest.mark.parametrize("dt", STEP_SIZES)
+    @pytest.mark.parametrize("pi, theta", [(0.865, 0.345), (3.0, 0.0)])
+    def test_given_year_totals_leave_every_result_unchanged(self, pi, theta, dt):
+        # totals summed once give what the year step sums for itself, bit for
+        # bit, solvent or bankrupt, in every recording
+        cfg, policy = FundConfig(dt=dt), PolicyParams(pi=pi, theta=theta)
+        normals = draws(6, 40, cfg.n_steps)
+        summed = run(cfg, policy, M1, normals, False, **RECORD_ALL)
+        given = run(cfg, policy, M1, normals, True, **RECORD_ALL)
+        assert (given.n_bankrupt > 0) == (pi == 3.0)
+        for name in ("payments", "bankrupt_at", "mean_funding_ratio", "assets", "liabilities"):
+            assert np.array_equal(getattr(summed, name), getattr(given, name), equal_nan=True), name
+        assert summed.solvency_margin == given.solvency_margin
+        assert given.account_trajectories.keys() == {41, 70}
+        for i in (41, 70):
+            assert np.array_equal(
+                summed.account_trajectories[i], given.account_trajectories[i], equal_nan=True
+            )
+
+    def test_given_year_totals_are_what_the_asset_grows_by(self):
+        # the engine reads the totals it is given instead of summing the draws
+        policy, normals = PolicyParams(0.865, 0.345), draws(6, 40)
+        summed = simulate_batch(CFG, policy, M1, normals, record_state=True)
+        zero = simulate_batch(CFG, policy, M1, normals, record_state=True,
+                              year_totals=np.zeros((CFG.horizon, 40)))
+        assert np.array_equal(summed.assets[:, 0], zero.assets[:, 0])
+        assert not np.array_equal(summed.assets[:, CFG.steps_per_year],
+                                  zero.assets[:, CFG.steps_per_year])
+
+    def test_rejects_year_totals_of_other_draws(self):
+        normals = draws(0, 3)
+        with pytest.raises(ValueError, match=r"^year_totals must have shape \(100, 3\)"):
+            simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, normals,
+                           year_totals=_year_totals(CFG, draws(0, 4)))
 
     @pytest.mark.parametrize("market", ["M1", "M2", "M3"])
     def test_no_floating_point_event_across_policy_box(self, market):

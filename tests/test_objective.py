@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdcfund import objective
-from cdcfund.fund import FundConfig, PolicyParams, SimulationBatch, simulate_batch
+from cdcfund.bo import BoConfig, run_bo
+from cdcfund.fund import FundConfig, PolicyParams, SimulationBatch, _year_totals, simulate_batch
 from cdcfund.market import _normal_rows, preset_market
 from cdcfund.objective import (
     ObjectiveSpec,
-    ObjectiveValue,
     certainty_equivalent,
     certainty_equivalent_stderr,
     crra_utility,
@@ -157,6 +157,33 @@ class TestEvaluatePolicy:
         b = evaluate_policy(policy, spec)
         assert a == b
 
+    def test_spec_sums_its_year_totals_once(self, monkeypatch):
+        summed = []
+
+        def recording(cfg, normals):
+            summed.append(normals.shape)
+            return _year_totals(cfg, normals)
+
+        monkeypatch.setattr("cdcfund.objective._year_totals", recording)
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=50, seed=9)
+        values = [evaluate_policy(PolicyParams(pi, 0.4), spec) for pi in (0.5, 0.9)]
+        assert summed == [(50, spec.cfg.n_steps)]
+        assert spec.year_totals.shape == (30, 50) and not spec.year_totals.flags.writeable
+        for value, pi in zip(values, (0.5, 0.9)):
+            batch = simulate_batch(spec.cfg, PolicyParams(pi, 0.4), M1, spec.normals)
+            assert repr(value) == repr(value_from_batch(batch, spec.cfg))
+
+    def test_spec_scored_once_sums_no_year_totals(self, monkeypatch):
+        summed = []
+        monkeypatch.setattr("cdcfund.objective._year_totals", lambda *args: summed.append(args))
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=50, seed=9)
+        evaluate_policy(PolicyParams(0.5, 0.4), spec)
+        assert summed == [] and "year_totals" not in vars(spec)
+        # nor does the optimizer without common random numbers, whose every
+        # evaluation scores a spec of its own
+        run_bo(spec, BoConfig(n_init=4, n_total=6, seed=0, common_random_numbers=False))
+        assert summed == []
+
     def test_soft_constraint_zeroes_ce(self):
         cfg = FundConfig(gamma=3.0)
         spec = ObjectiveSpec(cfg=cfg, mkt=M1, n_paths=200, seed=0)
@@ -239,6 +266,12 @@ class TestEvaluatePolicy:
 class TestEvaluatePolicies:
     SPEC = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=20, seed=4)
     POLICIES = [PolicyParams(pi=pi, theta=0.3) for pi in (0.0, 0.5, 1.0, 2.0, 3.0)]
+    # enough paths for several policies to be split into a block per CPU on 2 CPUs
+    BLOCKS_SPEC = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=2_393, seed=4)
+    # solvent; bankrupt in one block of 2,393 paths at seed 0 (paths 1,300 and
+    # 1,424, in the second block on 2 CPUs and in the second 1,000-path block);
+    # bankrupt in every block
+    LATTICE = [PolicyParams(0.865, 0.345), PolicyParams(3.0, 1.0), PolicyParams(3.0, 0.0)]
     MULTI_CPU = pytest.mark.skipif(
         len(os.sched_getaffinity(0)) < 2, reason="the pool needs two usable CPUs"
     )
@@ -260,13 +293,45 @@ class TestEvaluatePolicies:
             signal.signal(signal.SIGALRM, previous)
 
     @staticmethod
-    def record_pids(monkeypatch):
-        """Make each evaluation return the id of the process that ran it."""
+    def record_pids(monkeypatch, tmp_path):
+        """Make each simulation of a block write the id of the process that ran
+        it; returns a reader of the ids written."""
+        log = tmp_path / "pids"
+        log.touch()
 
-        def pid_value(policy, spec):
-            return ObjectiveValue(0.0, 0.0, 0.0, False, os.getpid(), 0.0)
+        def recording(*args, **kwargs):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return simulate_batch(*args, **kwargs)
 
-        monkeypatch.setattr("cdcfund.objective.evaluate_policy", pid_value)
+        monkeypatch.setattr("cdcfund.objective.simulate_batch", recording)
+        return lambda: {int(pid) for pid in log.read_text().split()}
+
+    @staticmethod
+    def stub_pool(monkeypatch, cpus) -> list:
+        """A stub pool that maps in this process and records the worker count
+        it was asked for, so no process starts whatever the CPU count; the
+        affinity mask is ``cpus``. Returns the recorded counts."""
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("cdcfund.objective._worker_fn", None)  # the stub's initializer sets it
+        return asked
 
     def test_values_in_policy_order(self):
         values = evaluate_policies(iter(self.POLICIES), self.SPEC)
@@ -276,42 +341,42 @@ class TestEvaluatePolicies:
         assert multiprocessing.active_children() == []
 
     @MULTI_CPU
-    def test_policies_are_scored_in_worker_processes(self, monkeypatch):
-        self.record_pids(monkeypatch)
-        pids = {v.n_bankrupt for v in evaluate_policies(self.POLICIES, self.SPEC)}
-        assert os.getpid() not in pids
-        assert 1 <= len(pids) <= len(os.sched_getaffinity(0))
+    def test_policies_are_scored_in_worker_processes(self, monkeypatch, tmp_path):
+        pids = self.record_pids(monkeypatch, tmp_path)
+        evaluate_policies(self.POLICIES, self.BLOCKS_SPEC)
+        assert os.getpid() not in pids()
+        assert 1 <= len(pids()) <= len(os.sched_getaffinity(0))
         assert multiprocessing.active_children() == []
 
-    def test_one_usable_cpu_scores_in_this_process(self, monkeypatch):
-        self.record_pids(monkeypatch)
+    def test_one_usable_cpu_scores_in_this_process(self, monkeypatch, tmp_path):
+        pids = self.record_pids(monkeypatch, tmp_path)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        pids = {v.n_bankrupt for v in evaluate_policies(self.POLICIES, self.SPEC)}
-        assert pids == {os.getpid()}
+        evaluate_policies(self.POLICIES, self.BLOCKS_SPEC)
+        assert pids() == {os.getpid()}
 
     def test_worker_error_is_raised_here(self, monkeypatch):
-        def failing(policy, spec):
+        def failing(cfg, policy, *args, **kwargs):
             if policy.pi == 2.0:
                 raise ValueError("policy failed in a worker")
-            return evaluate_policy(policy, spec)
+            return simulate_batch(cfg, policy, *args, **kwargs)
 
-        monkeypatch.setattr("cdcfund.objective.evaluate_policy", failing)
+        monkeypatch.setattr("cdcfund.objective.simulate_batch", failing)
         with pytest.raises(ValueError, match="policy failed in a worker"):
-            evaluate_policies(self.POLICIES, self.SPEC)
+            evaluate_policies(self.POLICIES, self.BLOCKS_SPEC)
         assert multiprocessing.active_children() == []
 
     @MULTI_CPU
     def test_killed_worker_breaks_the_pool_instead_of_hanging(self, monkeypatch):
         parent = os.getpid()
 
-        def dying(policy, spec):
+        def dying(cfg, policy, *args, **kwargs):
             if policy.pi == 2.0 and os.getpid() != parent:
                 os._exit(1)
-            return evaluate_policy(policy, spec)
+            return simulate_batch(cfg, policy, *args, **kwargs)
 
-        monkeypatch.setattr("cdcfund.objective.evaluate_policy", dying)
+        monkeypatch.setattr("cdcfund.objective.simulate_batch", dying)
         with pytest.raises(BrokenProcessPool):
-            evaluate_policies(self.POLICIES, self.SPEC)
+            evaluate_policies(self.POLICIES, self.BLOCKS_SPEC)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [None, {0}], ids=["all-cpus", "one-cpu"])
@@ -373,7 +438,7 @@ class TestEvaluatePolicies:
         assert len(blocks) == len(blocks_bankrupt)
         for k, (block, bankrupt) in enumerate(zip(blocks, blocks_bankrupt)):
             size = min(n_paths - k * 1_000, 1_000)
-            per_path, bankrupt_at, margin = block
+            [(per_path, bankrupt_at, margin)] = block  # one policy's result
             assert (per_path is None) is bankrupt
             arrays = [bankrupt_at] if bankrupt else [per_path, bankrupt_at]
             assert all(a.ndim == 1 and len(a) == size for a in arrays)
@@ -382,36 +447,102 @@ class TestEvaluatePolicies:
         assert repr(value) == repr(evaluate_policy(policy, spec))
 
     @pytest.mark.parametrize("policies, n_paths, workers", [
-        (POLICIES, 20, 5),  # one worker per policy
+        (POLICIES, 20, 5),  # one block, scored by a group of one policy per worker
+        (POLICIES, 2_393, 10),  # two blocks of at least 1,000 paths, each for five groups
+        (POLICIES, 4_999, 20),
         (POLICIES[:1], 2_393, 3),  # one worker per path block
         (POLICIES[:1], 20, 1),  # a single block runs here
     ])
     def test_workers_are_capped_by_the_items(self, monkeypatch, policies, n_paths, workers):
-        # a stub pool maps in this process and records the worker count it
-        # was asked for, so no process starts whatever the CPU count
-        asked = []
-
-        class Pool:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                asked.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)))
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
-        monkeypatch.setattr("cdcfund.objective._worker_fn", None)  # the stub's initializer sets it
+        asked = self.stub_pool(monkeypatch, set(range(10_000)))
         spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=n_paths, seed=4)
         values = evaluate_policies(policies, spec)
         assert asked == ([workers] if workers > 1 else [])
         assert [repr(v) for v in values] == [repr(evaluate_policy(p, spec)) for p in policies]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, n_paths, blocks, group_sizes", [
+        ({0}, 2_393, [(0, 2_393)], [5]),
+        ({0, 1}, 2_393, [(0, 1_196), (1_196, 2_393)], [5]),
+        ({0, 1}, 10_000, [(0, 5_000), (5_000, 10_000)], [5]),
+        # two blocks would hold fewer than 1,000 paths: the second CPU scores
+        # the later policies on the same block
+        ({0, 1}, 1_999, [(0, 1_999)], [2, 3]),
+        ({0}, 10_000, [(0, 5_000), (5_000, 10_000)], [5]),  # no block holds more than 5,000
+        ({0, 1}, 10_001, [(0, 3_333), (3_333, 6_667), (6_667, 10_001)], [5]),
+        # `grid --fast` on 8 CPUs: two blocks times four groups, a task per CPU
+        (set(range(8)), 2_000, [(0, 1_000), (1_000, 2_000)], [1, 1, 1, 2]),
+        (set(range(8)), 10_000, [(1_250 * k, 1_250 * (k + 1)) for k in range(8)], [5]),
+    ])
+    def test_several_policies_share_one_block_per_cpu(
+        self, monkeypatch, cpus, n_paths, blocks, group_sizes
+    ):
+        # the stub pool maps the tasks in this process, where their draws can be seen
+        asked = self.stub_pool(monkeypatch, cpus)
+        rows = []
+
+        def recording(seed, lo, hi, n_steps):
+            rows.append((lo, hi))
+            return _normal_rows(seed, lo, hi, n_steps)
+
+        monkeypatch.setattr("cdcfund.objective._normal_rows", recording)
+        totals = []
+
+        def simulating(cfg, policy, mkt, normals, *, year_totals):
+            totals.append(None if year_totals is None else year_totals.shape)
+            return simulate_batch(cfg, policy, mkt, normals, year_totals=year_totals)
+
+        monkeypatch.setattr("cdcfund.objective.simulate_batch", simulating)
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=n_paths, seed=4)
+        values = evaluate_policies(self.POLICIES, spec)
+        # each group draws every block, in path order
+        assert rows == blocks * len(group_sizes)
+        tasks = len(blocks) * len(group_sizes)
+        assert tasks <= max(len(cpus), len(blocks))
+        workers = min(len(cpus), tasks)
+        assert asked == ([workers] if workers > 1 else [])
+        # a block's year totals, summed once, are given to each policy of a
+        # group; a group of one sums each year's draws in the year step
+        assert totals == [(30, hi - lo) if size > 1 else None
+                          for size in group_sizes for lo, hi in blocks for _ in range(size)]
+        monkeypatch.undo()
+        assert [repr(v) for v in values] == [repr(evaluate_policy(p, spec)) for p in self.POLICIES]
+
+    def test_several_policies_never_draw_the_whole_matrix(self, monkeypatch):
+        # on one CPU the one block is drawn and scored in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        whole = []
+        monkeypatch.setattr("cdcfund.objective.normal_matrix", lambda *args: whole.append(args))
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=2_393, seed=4)
+        evaluate_policies(self.POLICIES, spec)
+        assert whole == []
+        assert "normals" not in vars(spec) and "year_totals" not in vars(spec)
+
+    @pytest.mark.parametrize("cpus", [None, {0}], ids=["all-cpus", "one-cpu"])
+    @pytest.mark.parametrize("n_paths", [1, 999, 2_393])
+    def test_lattice_equals_policy_by_policy(self, monkeypatch, n_paths, cpus):
+        spec = ObjectiveSpec(cfg=FundConfig(), mkt=M1, n_paths=n_paths, seed=0)
+        serial = [evaluate_policy(policy, spec) for policy in self.LATTICE]
+        if n_paths == 2_393:
+            assert [v.n_bankrupt for v in serial] == [0, 2, 1_517]
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        results = []
+        fork_map = objective._fork_map
+
+        def recording(fn, items):
+            out = fork_map(fn, items)
+            results.append(out)
+            return out
+
+        monkeypatch.setattr("cdcfund.objective._fork_map", recording)
+        fresh = ObjectiveSpec(cfg=FundConfig(), mkt=M1, n_paths=n_paths, seed=0)
+        values = evaluate_policies(self.LATTICE, fresh)
+        assert [repr(v) for v in values] == [repr(v) for v in serial]  # NaN-aware
+        [blocks] = results
+        if n_paths == 2_393 and len(blocks) == 2:
+            # the second policy's block results: utilities from the first, none from the second
+            assert [block[1][0] is None for block in blocks] == [False, True]
         assert multiprocessing.active_children() == []
 
     def test_block_error_is_raised_here(self, monkeypatch):

@@ -12,8 +12,11 @@ retires (``analyze-all-bankrupt``), ``simulate`` and ``analyze`` at the
 solvent policy once more at yearly and at weekly steps (``simulate-yearly``
 and so on), which pins the recordings away from monthly steps, a 3 x 3
 ``grid`` (once more pinned to one CPU as ``grid-one-cpu``, whose digests
-must equal those of ``grid``, and once more in market M3 as ``grid-m3``,
-where the bankruptcy boundary crosses the lattice), ``optimize --fast``,
+must equal those of ``grid``, once more in market M3 as ``grid-m3``,
+where the bankruptcy boundary crosses the lattice, and once more at 2,393
+paths as ``grid-2393`` and ``grid-2393-one-cpu``, whose digests must be
+equal although the paths are split into uneven blocks, two on 2 CPUs and
+one on one CPU), ``optimize --fast``,
 and ``run-cell --fast`` at seeds 1 and 2 (seed 1 once more pinned to one CPU
 as ``run-cell-one-cpu``, which draws its matrices on one thread and whose
 digests must equal those of ``run-cell-seed1``), each in a fresh interpreter
@@ -57,6 +60,8 @@ RUNS = {
     "grid": ["grid", "--seed", "1", "--fast", "--resolution", "3"],
     "grid-one-cpu": ["grid", "--seed", "1", "--fast", "--resolution", "3"],
     "grid-m3": ["grid", "--config", "m3.json", "--seed", "1", "--fast", "--resolution", "3"],
+    "grid-2393": ["grid", "--config", "n2393.json", "--seed", "1", "--resolution", "3"],
+    "grid-2393-one-cpu": ["grid", "--config", "n2393.json", "--seed", "1", "--resolution", "3"],
     "simulate-solvent": ["simulate", "--seed", "1", *SOLVENT, "--paths", "10"],
     "simulate-bankrupt": ["simulate", "--seed", "1", *BANKRUPT, "--paths", "10"],
     "analyze": ["analyze", "--seed", "1", "--fast", *SOLVENT],
@@ -74,7 +79,7 @@ RUNS = {
     "run-cell-one-cpu": ["run-cell", "--seed", "1", "--fast"],
 }
 # runs confined to the lowest CPU of this process's affinity mask
-ONE_CPU = {"evaluate-one-cpu", "grid-one-cpu", "run-cell-one-cpu"}
+ONE_CPU = {"evaluate-one-cpu", "grid-one-cpu", "grid-2393-one-cpu", "run-cell-one-cpu"}
 
 
 def _sha256(data: bytes) -> str:
@@ -110,6 +115,7 @@ def digests(src: Path, workdir: Path) -> list[str]:
     one_cpu = {min(os.sched_getaffinity(0))}
     (workdir / "two-paths.json").write_text('{"n_paths": 2}')  # analyze-all-bankrupt's config
     (workdir / "m3.json").write_text('{"market": "M3"}')  # grid-m3's config
+    (workdir / "n2393.json").write_text('{"n_paths": 2393}')  # grid-2393's config
     (workdir / "yearly.json").write_text('{"dt": 1.0}')
     (workdir / "weekly.json").write_text('{"dt": 0.019230769230769232}')  # 1/52
     lines = []
