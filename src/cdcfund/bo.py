@@ -78,18 +78,12 @@ def _normal_cdf(x):
 
 @dataclass(frozen=True)
 class BoConfig:
-    """Optimizer budget and seeding.
-
-    With ``common_random_numbers`` every candidate is scored on the same
-    market draws, so differences between candidates are policy-driven; when
-    disabled each evaluation re-seeds the objective.
-    """
+    """Optimizer budget and seeding."""
 
     n_init: int = 10
     n_total: int = 100
     acquisition_budget: int = 256
     seed: int = 0
-    common_random_numbers: bool = True
 
     def __post_init__(self) -> None:
         for name in ("n_init", "n_total", "acquisition_budget"):
@@ -228,27 +222,15 @@ def _argmax_acquisition(model, margin_model, f_star, candidates):
 
 
 def run_bo(spec: ObjectiveSpec, bo_cfg: BoConfig) -> BoTrace:
-    """Run the optimization loop against the fund objective.
-
-    With common random numbers every candidate is scored on ``spec`` and its
-    draws; otherwise each evaluation scores on a spec of its own seed, whose
-    draws are freed when the evaluation ends.
-    """
-
-    def evaluate(pi: float, theta: float, iteration: int) -> ObjectiveValue:
-        eval_spec = spec
-        if not bo_cfg.common_random_numbers:
-            # child `iteration` of the run's seed sequence: evaluations of
-            # runs with neighbouring seeds do not share draws
-            child = np.random.SeedSequence(spec.seed, spawn_key=(iteration,))
-            eval_spec = replace(spec, seed=int(child.generate_state(1, np.uint64)[0]))
-        return evaluate_policy(PolicyParams(pi=pi, theta=theta), eval_spec)
-
-    return optimize(evaluate, bo_cfg)
+    """Run the optimization loop against the fund objective: every candidate
+    is scored on ``spec``, its draws and its year totals (common random
+    numbers), so differences between candidates are policy-driven."""
+    return optimize(lambda pi, theta: evaluate_policy(PolicyParams(pi=pi, theta=theta), spec),
+                    bo_cfg)
 
 
 def optimize(evaluate, bo_cfg: BoConfig) -> BoTrace:
-    """Optimization loop over an arbitrary evaluator ``(pi, theta, k) -> ObjectiveValue``.
+    """Optimization loop over an arbitrary evaluator ``(pi, theta) -> ObjectiveValue``.
 
     The incumbent is the best solvent evaluation (the first evaluation until
     one is solvent). Raises ``ValueError`` naming the iteration when an
@@ -290,7 +272,7 @@ def optimize(evaluate, bo_cfg: BoConfig) -> BoTrace:
         records.append(rec)
 
     for k in range(bo_cfg.n_init):
-        record(k, design[k], evaluate(design[k][0], design[k][1], k), float("nan"), float("nan"))
+        record(k, design[k], evaluate(design[k][0], design[k][1]), float("nan"), float("nan"))
 
     for k in range(bo_cfg.n_init, bo_cfg.n_total):
         points = np.array([(rec.pi, rec.theta) for rec in records])
@@ -306,6 +288,6 @@ def optimize(evaluate, bo_cfg: BoConfig) -> BoTrace:
         nxt = maximize_acquisition(
             model, margin_model, incumbent.ce, bo_cfg.acquisition_budget, acq_rng
         )
-        record(k, nxt, evaluate(nxt[0], nxt[1], k), h, noise)
+        record(k, nxt, evaluate(nxt[0], nxt[1]), h, noise)
 
     return BoTrace(records=records)

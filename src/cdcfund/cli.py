@@ -143,9 +143,7 @@ def _validate(raw: dict, flags: dict[str, str]) -> ExperimentConfig:
     values = {**DEFAULTS, **raw}
     for key, default in DEFAULTS.items():
         value = values[key]
-        if isinstance(default, bool):
-            ok, expected = isinstance(value, bool), "a boolean"
-        elif isinstance(default, int):
+        if isinstance(default, int):
             ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
         elif isinstance(default, float):
             ok, expected = _is_number(value), "a number"
@@ -209,8 +207,6 @@ def _effective_config(args) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
@@ -218,7 +214,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_CSV_AS_IS = {str, int, type(None)}  # csv.writer writes these as _fmt would
+_CSV_AS_IS = {str, int, type(None)}  # csv.writer writes these as they are, None as ""
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

@@ -38,8 +38,8 @@ class ObjectiveSpec:
     Every policy scored on one spec runs on the same market paths, row ``p``
     on stream ``(seed, p)`` (common random numbers). :func:`evaluate_policy`
     scores in this process on the spec's own draws: :attr:`normals` and its
-    :attr:`year_totals` are generated on first use (the totals by the second
-    policy scored) and kept for the spec's lifetime.
+    :attr:`year_totals` are generated on first use and kept for the spec's
+    lifetime.
     :func:`evaluate_policies` never generates them: it draws the paths block
     by block where they are scored. A spec made with ``dataclasses.replace``
     starts without draws of its own.
@@ -171,14 +171,10 @@ def value_from_batch(batch: SimulationBatch, cfg: FundConfig) -> ObjectiveValue:
 
 
 def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue:
-    """Monte Carlo estimate of the policy's certainty equivalent.
-
-    The first policy scored on a spec generates its draws; from the second
-    on, the spec's year totals are summed once and given to the simulation,
-    so a spec scored once never holds them. The values have the same bits
-    either way."""
-    totals = spec.year_totals if "normals" in vars(spec) else None
-    batch = simulate_batch(spec.cfg, policy, spec.mkt, spec.normals, year_totals=totals)
+    """Monte Carlo estimate of the policy's certainty equivalent, on the
+    spec's draws and year totals, which the first policy scored generates."""
+    batch = simulate_batch(spec.cfg, policy, spec.mkt, spec.normals,
+                           year_totals=spec.year_totals)
     return value_from_batch(batch, spec.cfg)
 
 

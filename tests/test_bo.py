@@ -264,7 +264,7 @@ class TestMaximizeAcquisition:
 
 class TestOptimizeLoop:
     def test_finds_smooth_synthetic_optimum(self):
-        def evaluate(pi, theta, k):
+        def evaluate(pi, theta):
             ce = 10.0 - (pi - 1.8) ** 2 - 4.0 * (theta - 0.3) ** 2
             return synthetic_value(ce)
 
@@ -275,7 +275,7 @@ class TestOptimizeLoop:
         assert len(trace.records) == 40
 
     def test_incumbent_monotone_and_dominates_design(self):
-        def evaluate(pi, theta, k):
+        def evaluate(pi, theta):
             return synthetic_value(math.sin(pi) + theta)
 
         trace = optimize(evaluate, BoConfig(n_init=5, n_total=25, seed=1))
@@ -285,7 +285,7 @@ class TestOptimizeLoop:
         assert trace.incumbent.incumbent_ce >= design_best
 
     def test_deterministic_traces(self):
-        def evaluate(pi, theta, k):
+        def evaluate(pi, theta):
             return synthetic_value(-((pi - 1.0) ** 2) - theta**2)
 
         cfg = BoConfig(n_init=4, n_total=16, seed=3)
@@ -296,7 +296,7 @@ class TestOptimizeLoop:
 
     def test_zeroed_region_avoided_over_time(self):
         # left half of the box is "bankrupt": zero value
-        def evaluate(pi, theta, k):
+        def evaluate(pi, theta):
             if pi < 1.5:
                 return synthetic_value(0.0)
             return synthetic_value(1.0 + (pi - 1.5) + theta)
@@ -321,7 +321,7 @@ class TestOptimizeLoop:
         # beyond it is bankrupt, so the optimum (1.5, 0.5) sits on the line;
         # a surrogate that sees bankrupt points as zeros smooths the cliff
         # and stays well inside the solvent region
-        def evaluate(pi, theta, k):
+        def evaluate(pi, theta):
             margin = theta - pi / 3.0
             if margin < 0.0:
                 return synthetic_value(0.0, margin)
@@ -334,7 +334,7 @@ class TestOptimizeLoop:
 
     def test_incumbent_is_best_solvent_evaluation(self):
         # a bankrupt evaluation never becomes the incumbent, whatever its ce
-        def evaluate(pi, theta, k):
+        def evaluate(pi, theta):
             bankrupt = pi < 1.5
             return ObjectiveValue(
                 ce=5.0 if bankrupt else pi, eu=pi, eu_stderr=0.0, any_bankruptcy=bankrupt,
@@ -349,7 +349,7 @@ class TestOptimizeLoop:
     def test_bankrupt_design_moves_to_first_solvent_evaluation(self):
         # only the corner pi / 3 + theta > 1.6 is solvent; the design misses
         # it, so the loop starts on the probability of solvency alone
-        def evaluate(pi, theta, k):
+        def evaluate(pi, theta):
             margin = pi / 3.0 + theta - 1.6
             return synthetic_value(1.0 + pi / 3.0 + theta if margin > 0.0 else 0.0, margin)
 
@@ -372,9 +372,12 @@ class TestOptimizeLoop:
                 {"ce": float("nan")}],
     )
     def test_rejects_non_finite_values(self, iteration, bad):
-        def evaluate(pi, theta, k):
+        calls = []
+
+        def evaluate(pi, theta):
+            calls.append((pi, theta))
             value = synthetic_value(1.0 + pi + theta)
-            return replace(value, **bad) if k == iteration else value
+            return replace(value, **bad) if len(calls) == iteration + 1 else value
 
         with pytest.raises(ValueError, match=f"evaluation {iteration} "):
             optimize(evaluate, BoConfig(n_init=5, n_total=15, seed=0))
@@ -404,45 +407,9 @@ class TestRunBo:
         # evaluated points stay inside the search box
         assert all(0.0 <= r.pi <= 3.0 and 0.0 <= r.theta <= 1.0 for r in trace.records)
 
-    def test_crn_toggle_changes_draws(self):
-        cfg = FundConfig(gamma=3.0, horizon=25)
-        spec = ObjectiveSpec(cfg=cfg, mkt=preset_market("M1"), n_paths=30, seed=0)
-        crn = run_bo(spec, BoConfig(n_init=4, n_total=8, seed=0, common_random_numbers=True))
-        indep = run_bo(spec, BoConfig(n_init=4, n_total=8, seed=0, common_random_numbers=False))
-        # same design points, different objective draws after the first record
-        assert crn.records[1].pi == indep.records[1].pi
-        assert crn.records[1].ce != indep.records[1].ce
-
     def test_common_draws_generated_once(self, monkeypatch):
         made = record_generated(monkeypatch)
         spec = ObjectiveSpec(cfg=FundConfig(horizon=45), mkt=preset_market("M1"), n_paths=20)
         run_bo(spec, BoConfig(n_init=4, n_total=9, seed=0))
         assert len(made) == 1 and made[0]() is spec.normals
 
-    def test_independent_draws_not_kept_after_the_run(self, monkeypatch):
-        made = record_generated(monkeypatch)
-        spec = ObjectiveSpec(cfg=FundConfig(horizon=45), mkt=preset_market("M1"), n_paths=20)
-        run_bo(spec, BoConfig(n_init=4, n_total=9, seed=0, common_random_numbers=False))
-        assert len(made) == 9
-        assert all(ref() is None for ref in made)
-
-    def test_independent_draws_do_not_repeat_across_runs(self, monkeypatch):
-        # without common random numbers each evaluation draws from its own
-        # seed; runs at neighbouring seeds must not reuse each other's draws
-        seeds = []
-
-        def fake_evaluate(policy, spec):
-            seeds.append(spec.seed)
-            return synthetic_value(1.0 + policy.pi * (1.0 - policy.pi / 3.0) + policy.theta)
-
-        monkeypatch.setattr("cdcfund.bo.evaluate_policy", fake_evaluate)
-        cfg = BoConfig(n_init=4, n_total=12, seed=0, common_random_numbers=False)
-        per_run = []
-        for s in (5, 6):
-            seeds.clear()
-            spec = ObjectiveSpec(cfg=FundConfig(), mkt=preset_market("M1"), n_paths=10, seed=s)
-            run_bo(spec, cfg)
-            per_run.append(list(seeds))
-        assert all(len(set(run)) == 12 for run in per_run)
-        assert not set(per_run[0]) & set(per_run[1])
-        assert not {5, 6} & set(per_run[0] + per_run[1])

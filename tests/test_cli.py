@@ -125,9 +125,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="dt.*steps per year must be integer"):
             parse_config('{"dt": 0.3}')
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key 'frobnicate'"):
-            parse_config('{"frobnicate": 1}')
+    @pytest.mark.parametrize("document, key", [
+        ('{"frobnicate": 1}', "frobnicate"),
+        ('{"common_random_numbers": true}', "common_random_numbers"),  # a removed key
+    ])
+    def test_unknown_key_rejected(self, document, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config(document)
 
     def test_parse_error_reports_position(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -158,8 +162,8 @@ class TestParseConfig:
     def test_bad_types_named(self):
         with pytest.raises(ConfigError, match="n_paths"):
             parse_config('{"n_paths": 2.5}')
-        with pytest.raises(ConfigError, match="common_random_numbers"):
-            parse_config('{"common_random_numbers": 1}')
+        with pytest.raises(ConfigError, match="'beta': expected a number"):
+            parse_config('{"beta": "0.98"}')
 
 
 class TestGridOracle:
@@ -427,6 +431,22 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and key in captured.err
         assert "finite" in captured.err
+        assert not made and not out.exists()
+
+    def test_config_with_removed_key_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # an effective_config.json written while the optimizer still had a
+        # switch for scoring each evaluation on fresh draws
+        made = record_generated(monkeypatch)
+        cfg_path = tmp_path / "effective_config.json"
+        cfg_path.write_text(json.dumps(
+            {**parse_config(TINY).echo(), "common_random_numbers": True}, indent=2))
+        out = tmp_path / "out"
+        assert run_cli(["optimize", "--config", str(cfg_path), "--output-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "'common_random_numbers'" in captured.err
         assert not made and not out.exists()
 
     @pytest.mark.parametrize("command", [

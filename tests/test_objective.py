@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdcfund import objective
-from cdcfund.bo import BoConfig, run_bo
 from cdcfund.fund import FundConfig, PolicyParams, SimulationBatch, _year_totals, simulate_batch
 from cdcfund.market import _normal_rows, preset_market
 from cdcfund.objective import (
@@ -166,23 +165,14 @@ class TestEvaluatePolicy:
 
         monkeypatch.setattr("cdcfund.objective._year_totals", recording)
         spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=50, seed=9)
-        values = [evaluate_policy(PolicyParams(pi, 0.4), spec) for pi in (0.5, 0.9)]
+        values = [evaluate_policy(PolicyParams(0.5, 0.4), spec)]
+        assert "year_totals" in vars(spec)
+        values.append(evaluate_policy(PolicyParams(0.9, 0.4), spec))
         assert summed == [(50, spec.cfg.n_steps)]
         assert spec.year_totals.shape == (30, 50) and not spec.year_totals.flags.writeable
         for value, pi in zip(values, (0.5, 0.9)):
             batch = simulate_batch(spec.cfg, PolicyParams(pi, 0.4), M1, spec.normals)
             assert repr(value) == repr(value_from_batch(batch, spec.cfg))
-
-    def test_spec_scored_once_sums_no_year_totals(self, monkeypatch):
-        summed = []
-        monkeypatch.setattr("cdcfund.objective._year_totals", lambda *args: summed.append(args))
-        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=50, seed=9)
-        evaluate_policy(PolicyParams(0.5, 0.4), spec)
-        assert summed == [] and "year_totals" not in vars(spec)
-        # nor does the optimizer without common random numbers, whose every
-        # evaluation scores a spec of its own
-        run_bo(spec, BoConfig(n_init=4, n_total=6, seed=0, common_random_numbers=False))
-        assert summed == []
 
     def test_soft_constraint_zeroes_ce(self):
         cfg = FundConfig(gamma=3.0)
