@@ -14,10 +14,10 @@ from cdcfund.bo import (
     run_bo,
 )
 from cdcfund.bo import _argmax_acquisition, _normal_cdf
-from cdcfund.fund import FundConfig, PolicyParams
+from cdcfund.fund import FundConfig, PolicyParams, _year_totals, simulate_batch
 from cdcfund.gp import GpModel, Matern52Kernel, build_model, fit
 from cdcfund.market import preset_market
-from cdcfund.objective import ObjectiveSpec, ObjectiveValue
+from cdcfund.objective import ObjectiveSpec, ObjectiveValue, value_from_batch
 from draws import record_generated
 
 
@@ -412,4 +412,34 @@ class TestRunBo:
         spec = ObjectiveSpec(cfg=FundConfig(horizon=45), mkt=preset_market("M1"), n_paths=20)
         run_bo(spec, BoConfig(n_init=4, n_total=9, seed=0))
         assert len(made) == 1 and made[0]() is spec.normals
+
+    def test_every_candidate_scored_on_the_spec(self, monkeypatch):
+        scored = []
+
+        def fake_evaluate(policy, spec):
+            scored.append((policy, spec))
+            return synthetic_value(1.0 + policy.pi * (1.0 - policy.pi / 3.0) + policy.theta)
+
+        monkeypatch.setattr("cdcfund.bo.evaluate_policy", fake_evaluate)
+        spec = ObjectiveSpec(cfg=FundConfig(), mkt=preset_market("M1"), n_paths=10, seed=5)
+        trace = run_bo(spec, BoConfig(n_init=4, n_total=12, seed=0))
+        assert len(scored) == 12 and all(s is spec for _, s in scored)
+        assert [(p.pi, p.theta) for p, _ in scored] == [(r.pi, r.theta) for r in trace.records]
+
+    def test_year_totals_summed_once_per_run(self, monkeypatch):
+        summed = []
+
+        def recording(cfg, normals):
+            summed.append(normals.shape)
+            return _year_totals(cfg, normals)
+
+        monkeypatch.setattr("cdcfund.objective._year_totals", recording)
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=preset_market("M1"), n_paths=20)
+        trace = run_bo(spec, BoConfig(n_init=4, n_total=9, seed=0))
+        assert summed == [(20, spec.cfg.n_steps)]
+        # the summed totals score every candidate to the bit
+        for rec in trace.records:
+            batch = simulate_batch(spec.cfg, PolicyParams(rec.pi, rec.theta), spec.mkt, spec.normals)
+            value = value_from_batch(batch, spec.cfg)
+            assert repr((rec.ce, rec.eu)) == repr((value.ce, value.eu))
 
