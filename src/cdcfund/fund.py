@@ -190,7 +190,7 @@ def _store_year(record: np.ndarray, year: np.ndarray, first: int, dead) -> None:
 def _solvency_margin(bankrupt_at: np.ndarray, min_ratio: float) -> float:
     """Minus the bankrupt fraction if any path is bankrupt, else ``min_ratio``."""
     n_dead = int(np.count_nonzero(~np.isnan(bankrupt_at)))
-    return -n_dead / len(bankrupt_at) if n_dead else min_ratio
+    return -n_dead / len(bankrupt_at) if n_dead else float(min_ratio)
 
 
 def _check_window(generations, cfg: FundConfig, role: str) -> None:
@@ -231,7 +231,10 @@ def _growth_so_far(year, drift, scale, out, total=None) -> None:
     z_k``: ``exp`` of their running sum in step order, then the year's own
     factor ``exp(steps*drift + scale * total)`` from the year's draw total
     (:func:`_year_total`, summed into the last row unless given). A one-row
-    ``out`` gets that factor alone."""
+    ``out`` gets that factor alone. The coefficients may be ``(K, 1)``
+    columns, one row per policy, against ``(steps, 1, n_paths)`` draws and a
+    ``(rows, K, n_paths)`` ``out``: every element takes the operations a
+    scalar policy's would."""
     if len(out) > 1:
         np.multiply(year[:-1], scale, out=out[:-1])
         out[:-1] += drift
@@ -243,14 +246,15 @@ def _growth_so_far(year, drift, scale, out, total=None) -> None:
     np.exp(last, out=last)
 
 
-def _credit_so_far(year, log_ratio, drift, scale, theta_dt, partial, out, term) -> None:
+def _credit_so_far(year, log_ratio, drift, scale, theta_dt, weights, out, term) -> None:
     """Fill ``out`` with the crediting so far over a year of ``(steps,
     n_paths)`` draw rows from the post-jump log funding ratio ``log_ratio``:
     ``exp`` of the running sum of each step's ``drift + theta_dt * x_k``,
-    then the year's own factor, :func:`simulate_batch`'s ``c``, whose
-    weights come from ``partial[m] = sum_{k<m} rho^k``: ``c0 =
-    partial[steps]``, ``w_j = partial[steps-1-j]``. A one-row ``out`` gets
-    ``c`` alone; ``term`` is an ``n_paths`` scratch row."""
+    then the year's own factor, :func:`simulate_batch`'s ``c``, from the
+    ``weights`` of :func:`_simulate`: ``theta_dt * c0`` for ``x_0`` and
+    ``theta_dt * scale * w_j`` for ``z_j``. A one-row ``out`` gets ``c``
+    alone; ``term`` is a scratch row. Coefficients broadcast as in
+    :func:`_growth_so_far`."""
     steps = len(year)
     if len(out) > 1:
         # term carries x_k; out[k + 1] holds step k's log-return until its own turn
@@ -266,9 +270,9 @@ def _credit_so_far(year, log_ratio, drift, scale, theta_dt, partial, out, term) 
             out[k] += out[k - 1]
         np.exp(out[:-1], out=out[:-1])
     # a fixed-order sum over the draws that reach the crediting (all but the last)
-    c = np.multiply(log_ratio, theta_dt * partial[steps], out=out[-1])
+    c = np.multiply(log_ratio, weights[0], out=out[-1])
     for j in range(steps - 1):
-        c += np.multiply(year[j], theta_dt * scale * partial[steps - 1 - j], out=term)
+        c += np.multiply(year[j], weights[j + 1], out=term)
     c += steps * drift
     np.exp(c, out=c)
 
@@ -328,7 +332,55 @@ def simulate_batch(
     The benefits are written one contiguous row per year into a time-major
     ``(horizon, n_paths)`` buffer, whose transpose is ``payments``: a column
     write per year into path rows would touch one cache line per path. The
-    dead paths are held as an index array, not a mask.
+    dead paths are held as an index array, not a mask. The year step is
+    :func:`_simulate`'s, which also steps several policies at once.
+    """
+    paid = np.empty((cfg.horizon, _path_count(cfg, normals)))  # every row is written
+
+    def store(t, benefit, live):
+        paid[t - 1] = benefit[0]
+
+    bankrupt_at, [margin], recorded = _simulate(
+        cfg, [policy], mkt, normals, year_totals, store,
+        record_funding_ratios=record_funding_ratios, record_state=record_state,
+        tracked_generations=tracked_generations,
+    )
+    return SimulationBatch(
+        payments=paid.T,
+        bankrupt_at=bankrupt_at[0],
+        horizon=cfg.horizon,
+        steps_per_year=cfg.steps_per_year,
+        solvency_margin=margin,
+        **recorded,
+    )
+
+
+def _simulate(
+    cfg: FundConfig,
+    policies,
+    mkt: MarketParams,
+    normals: np.ndarray,
+    year_totals,
+    pay,
+    *,
+    record_funding_ratios: bool = False,
+    record_state: bool = False,
+    tracked_generations: tuple[int, ...] = (),
+):
+    """:func:`simulate_batch`'s engine, stepping ``K = len(policies)``
+    policies through each year at once on one ``(K, n_paths)`` state.
+
+    Row ``k`` is policy ``k`` on every path of ``normals``. Its scalars
+    (drift, scale, crediting weights) are ``(K, 1)`` columns (floats for one
+    policy), and a year's draws are ``(steps, 1, n_paths)`` rows, so every
+    element takes the operations, in the order, of a one-policy run: each
+    row has the bits of :func:`simulate_batch` for its policy. After each
+    year-``t`` jump (``t >= 1``) it calls ``pay(t, benefit, live)`` with the
+    ``(K, n_paths)`` benefits paid, NaN on bankrupt paths, and ``live``, the
+    rows with no bankrupt path so far (None while no path of any row is
+    bankrupt). Recordings need one policy; for more they are rejected before
+    any work. Returns the ``(K, n_paths)`` bankrupt years, each row's
+    solvency margin and the recordings as :class:`SimulationBatch` fields.
     """
     spy = cfg.steps_per_year
     n_steps = cfg.n_steps
@@ -338,20 +390,31 @@ def simulate_batch(
     if year_totals is not None and year_totals.shape != (cfg.horizon, n_paths):
         raise ValueError(f"year_totals must have shape {(cfg.horizon, n_paths)}, "
                          f"got {year_totals.shape}")
+    if len(policies) > 1 and (record_funding_ratios or record_state or tracked_generations):
+        raise ValueError(f"recordings need one policy, got {len(policies)}")
 
-    drift, scale = _increment_coefficients(mkt, policy.pi, cfg.dt)
-    theta_dt = policy.theta * cfg.dt
-    # the crediting weights: partial[m] = sum_{k<m} rho^k
-    partial = list(itertools.accumulate(((1.0 - theta_dt) ** k for k in range(spy)), initial=0.0))
+    columns = []
+    for policy in policies:
+        drift, scale = _increment_coefficients(mkt, policy.pi, cfg.dt)
+        theta_dt = policy.theta * cfg.dt
+        # the crediting weights: partial[m] = sum_{k<m} rho^k
+        partial = list(itertools.accumulate(((1.0 - theta_dt) ** k for k in range(spy)),
+                                            initial=0.0))
+        columns.append([drift, scale, theta_dt, theta_dt * partial[spy],
+                        *(theta_dt * scale * partial[spy - 1 - j] for j in range(spy - 1))])
+    # (K, 1) columns; one policy keeps plain floats, as a broadcast column
+    # costs each ufunc call more (about 15 us a year, 20% of a 2,000-path call)
+    drift, scale, theta_dt, *weights = (np.array(columns).T[..., None] if len(columns) > 1
+                                        else columns[0])
+    shape = (len(policies), n_paths)
 
     entry = np.array([entry_cohort_account(i, cfg, mkt.r) for i in range(1, n + 1)])
     a0 = float(entry.sum())
-    assets = np.full(n_paths, a0)
-    liabilities = np.full(n_paths, a0)
-    cum_credit = np.ones(n_paths)  # C(t)
-    sums = np.zeros((n + 1, n_paths))  # R(s) in row s % (n + 1)
-    bankrupt_at = np.full(n_paths, np.nan)
-    paid = np.empty((cfg.horizon, n_paths))  # every row is written, one per year
+    assets = np.full(shape, a0)
+    liabilities = np.full(shape, a0)
+    cum_credit = np.ones(shape)  # C(t)
+    sums = np.zeros((n + 1, *shape))  # R(s) in row s % (n + 1)
+    bankrupt_at = np.full(shape, np.nan)
 
     def account(i: int, t: int, out=None) -> np.ndarray:
         """Generation ``i``'s account right after the jump at year ``t``."""
@@ -366,50 +429,54 @@ def simulate_batch(
     mean_ratio = asset_rec = liab_rec = None
     if record_funding_ratios:
         mean_ratio = np.empty(n_steps + 1)
-        mean_ratio[0] = (assets / liabilities).sum() / n_paths
+        mean_ratio[0] = (assets[0] / liabilities[0]).sum() / n_paths
     if record_state:
         asset_rec = np.empty((n_paths, n_steps + 1))
         liab_rec = np.empty((n_paths, n_steps + 1))
-        asset_rec[:, 0] = assets
-        liab_rec[:, 0] = liabilities
+        asset_rec[:, 0] = assets[0]
+        liab_rec[:, 0] = liabilities[0]
     trajectories = {i: np.empty((n_paths, n * spy + 1)) for i in tracked_generations}
     # a year's growth and crediting so far, one row where no recording reads more
     state_rows = spy if record_funding_ratios or record_state else 1
-    growth = np.empty((state_rows, n_paths))
-    credit = np.empty((spy if tracked_generations else state_rows, n_paths))
-    tracked_year = np.empty((spy + 1, n_paths)) if tracked_generations else None
+    growth = np.empty((state_rows, *shape))
+    credit = np.empty((spy if tracked_generations else state_rows, *shape))
+    tracked_year = np.empty((spy + 1, *shape)) if tracked_generations else None
 
     # Dead paths are frozen at a finite state (asset = liability = 1) at every
     # year boundary: nothing recorded reads them, and keeping them finite
     # means the loop raises no floating-point event.
-    dead = None  # indices of the dead paths, once there are any
-    min_ratio = math.inf
-    benefit = np.zeros(n_paths)
-    retiring = np.empty(n_paths)  # the next retiree's account
-    flow, ratio, log_ratio, term = np.empty((4, n_paths))
-    survived = np.empty(n_paths, dtype=bool)
+    dead = None  # flat indices of the dead paths, once there are any
+    live = None  # the rows without one, once there are any
+    min_ratio = np.full(len(policies), math.inf)
+    benefit = np.zeros(shape)
+    retiring = np.empty(shape)  # the next retiree's account
+    flow, ratio, log_ratio, term = np.empty((4, *shape))
+    survived = np.empty(shape, dtype=bool)
     for t in range(cfg.horizon + 1):
         # year-boundary jump: pay the retiree, collect contributions
         np.subtract(n * cfg.y, benefit, out=flow)
         assets += flow
         liabilities += flow
-        if dead is None:
-            # once a path is dead the margin is the bankrupt fraction,
-            # so the post-payout ratio is only needed while all live
-            min_ratio = min(min_ratio, float(np.divide(assets, liabilities, out=ratio).min()))
+        if live is None or len(live):
+            # once a row has a dead path its margin is the bankrupt fraction,
+            # so the post-payout ratio is only needed while some row is all live
+            np.minimum(min_ratio, np.divide(assets, liabilities, out=ratio).min(axis=1),
+                       out=min_ratio)
         np.greater(assets, 0.0, out=survived)
         if dead is not None or not survived.all():
             bankrupt_at[np.isnan(bankrupt_at) & ~survived] = t
-            dead = np.flatnonzero(~np.isnan(bankrupt_at))
+            solvent = np.isnan(bankrupt_at)
+            dead = np.flatnonzero(~solvent)
+            live = np.flatnonzero(solvent.all(axis=1))
         if t >= 1:
             if dead is not None:
-                benefit[dead] = np.nan
-            paid[t - 1] = benefit
+                benefit.reshape(-1)[dead] = np.nan
+            pay(t, benefit, live)
         if t == cfg.horizon:
             break
         if dead is not None:
-            assets[dead] = 1.0
-            liabilities[dead] = 1.0
+            assets.reshape(-1)[dead] = 1.0
+            liabilities.reshape(-1)[dead] = 1.0
 
         # this year's contribution enters the running sums
         np.divide(cfg.y, cum_credit, out=term)
@@ -417,19 +484,19 @@ def simulate_batch(
         account(t + 1, t, out=retiring)
 
         # this year's draws, one contiguous row of paths per step when the
-        # draws are stored time-major
-        year = normals[:, t * spy : (t + 1) * spy].T
+        # draws are stored time-major, against the policies' columns
+        year = normals[:, t * spy : (t + 1) * spy].T[:, None]
         np.divide(assets, liabilities, out=log_ratio)
         np.log(log_ratio, out=log_ratio)
         _growth_so_far(year, drift, scale, growth, None if year_totals is None else year_totals[t])
-        _credit_so_far(year, log_ratio, drift, scale, theta_dt, partial, credit, term)
+        _credit_so_far(year, log_ratio, drift, scale, theta_dt, weights, credit, term)
 
-        # the year's recordings, NaN on paths dead before it began
+        # the year's recordings (one policy: row 0), NaN on paths dead before it began
         for i in tracked_generations:
             if i - n <= t < i:
                 np.multiply(credit, account(i, t, out=tracked_year[0]), out=tracked_year[1:])
                 lo = 0 if t == i - n else 1  # a newcomer's samples begin at its start
-                _store_year(trajectories[i], tracked_year[lo:], (t - i + n) * spy + lo, dead)
+                _store_year(trajectories[i], tracked_year[lo:, 0], (t - i + n) * spy + lo, dead)
         # the state takes the last rows (recorded samples overwrite them with the next state)
         np.multiply(retiring, credit[-1], out=benefit)
         cum_credit *= credit[-1]
@@ -439,12 +506,12 @@ def simulate_batch(
         np.copyto(liabilities, credit[-1])
         first = t * spy + 1
         if record_state:
-            _store_year(asset_rec, growth, first, dead)
-            _store_year(liab_rec, credit, first, dead)
+            _store_year(asset_rec, growth[:, 0], first, dead)
+            _store_year(liab_rec, credit[:, 0], first, dead)
         if record_funding_ratios:
             # each step's mean over the live paths (A/L overwrites the stored
             # asset): a row sum with the dead paths at 0, or NaN when none is live
-            ratio_year = np.divide(growth, credit, out=growth)
+            ratio_year = np.divide(growth, credit, out=growth)[:, 0]
             span = mean_ratio[first : first + spy]
             n_live = int(np.count_nonzero(np.isnan(bankrupt_at)))
             if n_live:
@@ -455,14 +522,6 @@ def simulate_batch(
             else:
                 span[:] = np.nan
 
-    return SimulationBatch(
-        payments=paid.T,
-        bankrupt_at=bankrupt_at,
-        horizon=cfg.horizon,
-        steps_per_year=spy,
-        solvency_margin=_solvency_margin(bankrupt_at, min_ratio),
-        mean_funding_ratio=mean_ratio,
-        assets=asset_rec,
-        liabilities=liab_rec,
-        account_trajectories=trajectories,
-    )
+    margins = [_solvency_margin(row, row_min) for row, row_min in zip(bankrupt_at, min_ratio)]
+    return bankrupt_at, margins, dict(mean_funding_ratio=mean_ratio, assets=asset_rec,
+                                      liabilities=liab_rec, account_trajectories=trajectories)

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .fund import FundConfig, PolicyParams, SimulationBatch, _solvency_margin, simulate_batch
-from .fund import _year_totals
+from .fund import _simulate, _year_totals
 from .market import (
     MarketParams, _check_integer, _check_uint64, _normal_rows, _usable_cpus, normal_matrix,
 )
@@ -140,15 +140,30 @@ def _path_utilities(payments: np.ndarray, cfg: FundConfig) -> np.ndarray:
     return per_path
 
 
-def _block_result(batch: SimulationBatch, cfg: FundConfig) -> tuple:
-    """What a block of paths sends back: its paths' discounted utilities
-    (None if one is bankrupt), bankrupt years and solvency margin."""
-    per_path = None if batch.any_bankruptcy else _path_utilities(batch.payments, cfg)
-    return per_path, batch.bankrupt_at, batch.solvency_margin
+def _block_scores(cfg: FundConfig, policies, mkt: MarketParams, normals: np.ndarray,
+                  year_totals) -> list[tuple]:
+    """What a block of paths sends back for each of ``policies``, scored in
+    one pass of the engine on a ``(K, n_paths)`` state: its paths' discounted
+    utilities (None if one is bankrupt), bankrupt years and solvency margin.
+    A policy's utilities are summed in the year loop while it has no
+    bankrupt path, year by year as :func:`_path_utilities` sums a batch's
+    payments, so they have the same bits, and no payments are held."""
+    discounts = cfg.beta ** np.arange(1, cfg.horizon + 1)
+    per_path = np.zeros((len(policies), len(normals)))
+
+    def add(t, benefit, live):
+        if live is None:
+            np.add(per_path, crra_utility(benefit, cfg.gamma) * discounts[t - 1], out=per_path)
+        elif len(live):
+            per_path[live] += crra_utility(benefit[live], cfg.gamma) * discounts[t - 1]
+
+    bankrupt_at, margins, _ = _simulate(cfg, policies, mkt, normals, year_totals, add)
+    return [(utilities if np.isnan(row).all() else None, row, margin)
+            for utilities, row, margin in zip(per_path, bankrupt_at, margins)]
 
 
 def _value(blocks, gamma: float) -> ObjectiveValue:
-    """The value of a batch from its blocks' :func:`_block_result` in path
+    """The value of a batch from its blocks' :func:`_block_scores` in path
     order: a fixed-order mean over the joined paths, so it repeats bit for
     bit on the same draws, however they are split into blocks."""
     per_path, bankrupt_at, margins = zip(*blocks)
@@ -167,7 +182,8 @@ def _value(blocks, gamma: float) -> ObjectiveValue:
 
 def value_from_batch(batch: SimulationBatch, cfg: FundConfig) -> ObjectiveValue:
     """Score an already simulated batch under the config's preferences."""
-    return _value([_block_result(batch, cfg)], cfg.gamma)
+    per_path = None if batch.any_bankruptcy else _path_utilities(batch.payments, cfg)
+    return _value([(per_path, batch.bankrupt_at, batch.solvency_margin)], cfg.gamma)
 
 
 def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue:
@@ -184,6 +200,10 @@ _EVAL_BLOCK = 1_000
 # the most paths per block when several policies are scored, so a block's
 # draws stay under 48 MB however few CPUs there are
 _LATTICE_BLOCK = 5_000
+# the state cells, policies times paths, of one engine pass over a block:
+# three policies at a time on 5,000 paths, fifteen on 1,000 (at 20,000 the
+# pass's ring of running sums lifts a 5,000-path worker's peak by 6%)
+_PASS_CELLS = 15_000
 
 _worker_fn = None  # a pool worker's function, set once at its start
 
@@ -235,11 +255,15 @@ def evaluate_policies(policies, spec: ObjectiveSpec) -> list[ObjectiveValue]:
     the blocks leave over split the policies into groups, in order, and
     each group draws every block again, so there is one task per usable
     CPU, capped by the policies. A task sums its block's year totals once
-    for its group's policies and returns each one's per-path discounted
-    utilities (None if a path is bankrupt), bankrupt years and margin, not
-    its payments; each policy's are joined in path order. A path's utility
-    has the same bits in any block, so the values are the same on any
-    number of CPUs. A worker's exception is re-raised here.
+    for its group's policies and steps them through the engine a pass at a
+    time, each pass as many policies as fit ``_PASS_CELLS`` states on the
+    block's paths (three on 5,000 paths, fifteen on 1,000), on one
+    ``(K, n_paths)`` state. It returns each policy's per-path discounted
+    utilities, summed in the year loop (None if a path is bankrupt),
+    bankrupt years and margin, not its payments; each policy's are joined
+    in path order. A path's utility has the same bits in any block and any
+    pass, so the values are the same on any number of CPUs. A worker's
+    exception is re-raised here.
     """
     policies = list(policies)
     cfg, n_paths, cpus = spec.cfg, spec.n_paths, _usable_cpus()
@@ -255,8 +279,9 @@ def evaluate_policies(policies, spec: ObjectiveSpec) -> list[ObjectiveValue]:
         normals = _normal_rows(spec.seed, lo, hi, cfg.n_steps)
         # one policy sums each year's draws inside the year step, with no extra array
         totals = _year_totals(cfg, normals) if len(group) > 1 else None
-        return [_block_result(simulate_batch(cfg, p, spec.mkt, normals, year_totals=totals), cfg)
-                for p in group]
+        per_pass = max(1, _PASS_CELLS // (hi - lo))
+        return [scored for k in range(0, len(group), per_pass)
+                for scored in _block_scores(cfg, group[k : k + per_pass], spec.mkt, normals, totals)]
 
     tasks = [(lo, hi, group) for group in groups for lo, hi in zip(bounds, bounds[1:])]
     per_task = _fork_map(lambda task: score_block(*task), tasks)

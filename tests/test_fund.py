@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdcfund.fund import (
-    FundConfig, PolicyParams, _year_totals, entry_cohort_account, simulate_batch,
+    FundConfig, PolicyParams, _simulate, _year_totals, entry_cohort_account, simulate_batch,
 )
 from cdcfund.idc import idc_terminal_benefits, idc_trajectories
 from cdcfund.market import RandomStream, normal_matrix, preset_market
@@ -506,6 +506,14 @@ class TestSimulateBatch:
         with pytest.raises(ValueError, match=r"^year_totals must have shape \(100, 3\)"):
             simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, normals,
                            year_totals=_year_totals(CFG, draws(0, 4)))
+
+    @pytest.mark.parametrize("recording", RECORDINGS)
+    def test_recordings_of_several_policies_rejected_before_any_work(self, recording):
+        paid = []
+        with pytest.raises(ValueError, match=r"^recordings need one policy, got 2$"):
+            _simulate(CFG, [PolicyParams(0.5, 0.5)] * 2, M1, draws(0, 3), None,
+                      lambda *args: paid.append(args), **recording)
+        assert paid == []
 
     @pytest.mark.parametrize("market", ["M1", "M2", "M3"])
     def test_no_floating_point_event_across_policy_box(self, market):

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdcfund import objective
-from cdcfund.fund import FundConfig, PolicyParams, SimulationBatch, _year_totals, simulate_batch
+from cdcfund.fund import (
+    OMEGA, FundConfig, PolicyParams, SimulationBatch, _simulate, _year_totals, simulate_batch,
+)
 from cdcfund.market import _normal_rows, preset_market
 from cdcfund.objective import (
     ObjectiveSpec,
@@ -284,17 +286,17 @@ class TestEvaluatePolicies:
 
     @staticmethod
     def record_pids(monkeypatch, tmp_path):
-        """Make each simulation of a block write the id of the process that ran
-        it; returns a reader of the ids written."""
+        """Make each engine pass over a block write the id of the process that
+        ran it; returns a reader of the ids written."""
         log = tmp_path / "pids"
         log.touch()
 
         def recording(*args, **kwargs):
             with log.open("a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return simulate_batch(*args, **kwargs)
+            return _simulate(*args, **kwargs)
 
-        monkeypatch.setattr("cdcfund.objective.simulate_batch", recording)
+        monkeypatch.setattr("cdcfund.objective._simulate", recording)
         return lambda: {int(pid) for pid in log.read_text().split()}
 
     @staticmethod
@@ -345,12 +347,12 @@ class TestEvaluatePolicies:
         assert pids() == {os.getpid()}
 
     def test_worker_error_is_raised_here(self, monkeypatch):
-        def failing(cfg, policy, *args, **kwargs):
-            if policy.pi == 2.0:
+        def failing(cfg, policies, *args, **kwargs):
+            if any(policy.pi == 2.0 for policy in policies):
                 raise ValueError("policy failed in a worker")
-            return simulate_batch(cfg, policy, *args, **kwargs)
+            return _simulate(cfg, policies, *args, **kwargs)
 
-        monkeypatch.setattr("cdcfund.objective.simulate_batch", failing)
+        monkeypatch.setattr("cdcfund.objective._simulate", failing)
         with pytest.raises(ValueError, match="policy failed in a worker"):
             evaluate_policies(self.POLICIES, self.BLOCKS_SPEC)
         assert multiprocessing.active_children() == []
@@ -359,12 +361,12 @@ class TestEvaluatePolicies:
     def test_killed_worker_breaks_the_pool_instead_of_hanging(self, monkeypatch):
         parent = os.getpid()
 
-        def dying(cfg, policy, *args, **kwargs):
-            if policy.pi == 2.0 and os.getpid() != parent:
+        def dying(cfg, policies, *args, **kwargs):
+            if any(policy.pi == 2.0 for policy in policies) and os.getpid() != parent:
                 os._exit(1)
-            return simulate_batch(cfg, policy, *args, **kwargs)
+            return _simulate(cfg, policies, *args, **kwargs)
 
-        monkeypatch.setattr("cdcfund.objective.simulate_batch", dying)
+        monkeypatch.setattr("cdcfund.objective._simulate", dying)
         with pytest.raises(BrokenProcessPool):
             evaluate_policies(self.POLICIES, self.BLOCKS_SPEC)
         assert multiprocessing.active_children() == []
@@ -476,13 +478,13 @@ class TestEvaluatePolicies:
             return _normal_rows(seed, lo, hi, n_steps)
 
         monkeypatch.setattr("cdcfund.objective._normal_rows", recording)
-        totals = []
+        passes = []
 
-        def simulating(cfg, policy, mkt, normals, *, year_totals):
-            totals.append(None if year_totals is None else year_totals.shape)
-            return simulate_batch(cfg, policy, mkt, normals, year_totals=year_totals)
+        def simulating(cfg, policies, mkt, normals, year_totals, pay):
+            passes.append((len(policies), None if year_totals is None else year_totals.shape))
+            return _simulate(cfg, policies, mkt, normals, year_totals, pay)
 
-        monkeypatch.setattr("cdcfund.objective.simulate_batch", simulating)
+        monkeypatch.setattr("cdcfund.objective._simulate", simulating)
         spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=n_paths, seed=4)
         values = evaluate_policies(self.POLICIES, spec)
         # each group draws every block, in path order
@@ -491,12 +493,47 @@ class TestEvaluatePolicies:
         assert tasks <= max(len(cpus), len(blocks))
         workers = min(len(cpus), tasks)
         assert asked == ([workers] if workers > 1 else [])
-        # a block's year totals, summed once, are given to each policy of a
-        # group; a group of one sums each year's draws in the year step
-        assert totals == [(30, hi - lo) if size > 1 else None
-                          for size in group_sizes for lo, hi in blocks for _ in range(size)]
+        # a block's year totals, summed once, are given to each engine pass
+        # of a group, at most _PASS_CELLS // paths policies a pass; a group
+        # of one sums each year's draws in the year step
+        assert passes == [
+            (min(per_pass, size - k), (30, hi - lo) if size > 1 else None)
+            for size in group_sizes for lo, hi in blocks
+            for per_pass in [objective._PASS_CELLS // (hi - lo)]
+            for k in range(0, size, per_pass)
+        ]
         monkeypatch.undo()
         assert [repr(v) for v in values] == [repr(evaluate_policy(p, spec)) for p in self.POLICIES]
+
+    def test_passes_split_a_group_by_state_cells(self, monkeypatch):
+        # one CPU: one 2,393-path block for all five policies, two policies a
+        # pass when a pass holds 2 x 2,393 states, and the values unchanged
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr("cdcfund.objective._PASS_CELLS", 2 * 2_393 + 1)
+        passes = []
+
+        def simulating(cfg, policies, *args):
+            passes.append(list(policies))
+            return _simulate(cfg, policies, *args)
+
+        monkeypatch.setattr("cdcfund.objective._simulate", simulating)
+        values = evaluate_policies(self.POLICIES, self.BLOCKS_SPEC)
+        assert passes == [self.POLICIES[:2], self.POLICIES[2:4], self.POLICIES[4:]]
+        assert [repr(v) for v in values] == [repr(evaluate_policy(p, self.BLOCKS_SPEC))
+                                             for p in self.POLICIES]
+
+    @pytest.mark.parametrize("cpus", [None, {0}], ids=["all-cpus", "one-cpu"])
+    def test_values_hold_python_scalars(self, monkeypatch, cpus):
+        # the engine's per-row minima are NumPy scalars; a value holds none,
+        # so its repr is the same as evaluate_policy's
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        values = evaluate_policies(self.LATTICE + self.POLICIES, self.BLOCKS_SPEC)
+        assert {v.any_bankruptcy for v in values} == {False, True}
+        for value in values:
+            assert type(value.solvency_margin) is float
+            assert [type(x) for x in (value.ce, value.eu, value.eu_stderr)] == [float] * 3
+            assert type(value.any_bankruptcy) is bool and type(value.n_bankrupt) is int
 
     def test_several_policies_never_draw_the_whole_matrix(self, monkeypatch):
         # on one CPU the one block is drawn and scored in this process
@@ -539,8 +576,58 @@ class TestEvaluatePolicies:
         def failing(*args, **kwargs):
             raise ValueError("block failed in a worker")
 
-        monkeypatch.setattr("cdcfund.objective.simulate_batch", failing)
+        monkeypatch.setattr("cdcfund.objective._simulate", failing)
         spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=2_393, seed=4)
         with pytest.raises(ValueError, match="block failed in a worker"):
             evaluate_policies([self.POLICIES[1]], spec)
         assert multiprocessing.active_children() == []
+
+
+class TestEnginePasses:
+    """A lattice task's engine passes, several policies stepped through each
+    year on one ``(K, n_paths)`` state, against one policy at a time."""
+
+    # on the first 16 paths of seed 0 each goes bankrupt mid-horizon at
+    # yearly, monthly and weekly steps; the solvent one stays solvent
+    BANKRUPT = {"M1": PolicyParams(3.0, 0.0), "M2": PolicyParams(1.5, 0.0),
+                "M3": PolicyParams(0.5, 0.0)}
+    SOLVENT = PolicyParams(0.865, 0.345)
+
+    @given(
+        policies=st.lists(
+            st.builds(PolicyParams, st.floats(*OMEGA[0]), st.floats(*OMEGA[1])), max_size=6
+        ),
+        at=st.integers(0, 6),
+        market=st.sampled_from(["M1", "M2", "M3"]),
+        dt=st.sampled_from([1.0, 1 / 12, 1 / 52]),
+        n_paths=st.integers(16, 24),
+        per_pass=st.integers(1, 8),
+        totals=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_passes_equal_policy_by_policy(
+        self, policies, at, market, dt, n_paths, per_pass, totals
+    ):
+        cfg, mkt = FundConfig(dt=dt, horizon=60), preset_market(market)
+        at = min(at, len(policies))
+        group = [*policies[:at], self.BANKRUPT[market], *policies[at:], self.SOLVENT]
+        spec = ObjectiveSpec(cfg=cfg, mkt=mkt, n_paths=n_paths, seed=0)
+        serial = [evaluate_policy(policy, spec) for policy in group]
+        normals = _normal_rows(0, 0, n_paths, cfg.n_steps)
+        year_totals = _year_totals(cfg, normals) if totals else None
+        # passes of per_pass policies, which need not divide the group; the
+        # bankrupt rows raise no overflow, division or invalid operation
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            scored = [
+                result for k in range(0, len(group), per_pass)
+                for result in objective._block_scores(
+                    cfg, group[k : k + per_pass], mkt, normals, year_totals
+                )
+            ]
+        assert [repr(objective._value([result], cfg.gamma)) for result in scored] == [
+            repr(value) for value in serial
+        ]
+        # one row of a pass went bankrupt mid-horizon while the last stayed solvent
+        bankrupt_at = scored[at][1]
+        assert scored[at][0] is None and 1 < np.nanmin(bankrupt_at) < cfg.horizon
+        assert scored[-1][0] is not None and not serial[-1].any_bankruptcy
