@@ -450,18 +450,18 @@ def _simulate(
     min_ratio = np.full(len(policies), math.inf)
     benefit = np.zeros(shape)
     retiring = np.empty(shape)  # the next retiree's account
-    flow, ratio, log_ratio, term = np.empty((4, *shape))
+    flow, ratio, term = np.empty((3, *shape))
     survived = np.empty(shape, dtype=bool)
     for t in range(cfg.horizon + 1):
         # year-boundary jump: pay the retiree, collect contributions
         np.subtract(n * cfg.y, benefit, out=flow)
         assets += flow
         liabilities += flow
+        np.divide(assets, liabilities, out=ratio)  # the post-payout funding ratio
         if live is None or len(live):
             # once a row has a dead path its margin is the bankrupt fraction,
-            # so the post-payout ratio is only needed while some row is all live
-            np.minimum(min_ratio, np.divide(assets, liabilities, out=ratio).min(axis=1),
-                       out=min_ratio)
+            # so its smallest ratio is only needed while some row is all live
+            np.minimum(min_ratio, ratio.min(axis=1), out=min_ratio)
         np.greater(assets, 0.0, out=survived)
         if dead is not None or not survived.all():
             bankrupt_at[np.isnan(bankrupt_at) & ~survived] = t
@@ -477,6 +477,7 @@ def _simulate(
         if dead is not None:
             assets.reshape(-1)[dead] = 1.0
             liabilities.reshape(-1)[dead] = 1.0
+            ratio.reshape(-1)[dead] = 1.0  # their A/L
 
         # this year's contribution enters the running sums
         np.divide(cfg.y, cum_credit, out=term)
@@ -486,8 +487,7 @@ def _simulate(
         # this year's draws, one contiguous row of paths per step when the
         # draws are stored time-major, against the policies' columns
         year = normals[:, t * spy : (t + 1) * spy].T[:, None]
-        np.divide(assets, liabilities, out=log_ratio)
-        np.log(log_ratio, out=log_ratio)
+        log_ratio = np.log(ratio, out=ratio)
         _growth_so_far(year, drift, scale, growth, None if year_totals is None else year_totals[t])
         _credit_so_far(year, log_ratio, drift, scale, theta_dt, weights, credit, term)
 
