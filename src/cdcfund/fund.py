@@ -286,7 +286,6 @@ def simulate_batch(
     record_funding_ratios: bool = False,
     record_state: bool = False,
     tracked_generations: tuple[int, ...] = (),
-    year_totals: np.ndarray | None = None,
 ) -> SimulationBatch:
     """Simulate one path per row of the ``(n_paths, n_steps)`` draw matrix
     ``normals``, vectorized across paths.
@@ -306,10 +305,7 @@ def simulate_batch(
     scale * sum_j w_j*z_j))``, with ``c0 = sum_{k<spy} rho^k`` and ``w_j =
     sum_{m<spy-1-j} rho^m``, computed once per call. Both sums add the year's
     draw rows element-wise in step order, so the bits depend neither on the
-    draw layout nor on the thread count. ``year_totals``, the ``(horizon,
-    n_paths)`` :func:`_year_totals` of ``normals``, saves the first sum: a
-    caller that scores many policies on one matrix sums it once, and the
-    results keep their bits. No account is stored: with ``C(t)``
+    draw layout nor on the thread count. No account is stored: with ``C(t)``
     the crediting from time 0 to year ``t`` and ``R(s) = sum_{j<s} y/C(j)``
     (a ring of the ``n_generations + 1`` latest sums), generation ``i``'s
     account right after the jump at year ``t`` is ``C(t) * (R(t+1) - R(i -
@@ -341,7 +337,7 @@ def simulate_batch(
         paid[t - 1] = benefit[0]
 
     bankrupt_at, [margin], recorded = _simulate(
-        cfg, [policy], mkt, normals, year_totals, store,
+        cfg, [policy], mkt, normals, None, store,
         record_funding_ratios=record_funding_ratios, record_state=record_state,
         tracked_generations=tracked_generations,
     )
@@ -374,7 +370,9 @@ def _simulate(
     (drift, scale, crediting weights) are ``(K, 1)`` columns (floats for one
     policy), and a year's draws are ``(steps, 1, n_paths)`` rows, so every
     element takes the operations, in the order, of a one-policy run: each
-    row has the bits of :func:`simulate_batch` for its policy. After each
+    row has the bits of :func:`simulate_batch` for its policy. The
+    ``(horizon, n_paths)`` :func:`_year_totals` of ``normals``, if given as
+    ``year_totals``, save the year step its first sum, bit for bit. After each
     year-``t`` jump (``t >= 1``) it calls ``pay(t, benefit, live)`` with the
     ``(K, n_paths)`` benefits paid, NaN on bankrupt paths, and ``live``, the
     rows with no bankrupt path so far (None while no path of any row is

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fund import FundConfig, PolicyParams, SimulationBatch, _solvency_margin, simulate_batch
+from .fund import FundConfig, PolicyParams, SimulationBatch, _solvency_margin
 from .fund import _simulate, _year_totals
 from .market import (
     MarketParams, _check_integer, _check_uint64, _normal_rows, _usable_cpus, normal_matrix,
@@ -65,8 +65,8 @@ class ObjectiveSpec:
     @cached_property
     def year_totals(self) -> np.ndarray:
         """The read-only ``(horizon, n_paths)`` totals of each year's draws of
-        :attr:`normals`, which :func:`~cdcfund.fund.simulate_batch` takes to
-        skip their sum: summed once for every policy scored on the spec."""
+        :attr:`normals`, which :func:`_block_scores` takes to skip their sum:
+        summed once for every policy scored on the spec."""
         return _year_totals(self.cfg, self.normals)
 
 
@@ -142,8 +142,9 @@ def _path_utilities(payments: np.ndarray, cfg: FundConfig) -> np.ndarray:
 
 def _block_scores(cfg: FundConfig, policies, mkt: MarketParams, normals: np.ndarray,
                   year_totals) -> list[tuple]:
-    """What a block of paths sends back for each of ``policies``, scored in
-    one pass of the engine on a ``(K, n_paths)`` state: its paths' discounted
+    """The one scorer of :func:`evaluate_policy` and :func:`evaluate_policies`:
+    what a block of paths sends back for each of ``policies``, scored in one
+    pass of the engine on a ``(K, n_paths)`` state: its paths' discounted
     utilities (None if one is bankrupt), bankrupt years and solvency margin.
     A policy's utilities are summed in the year loop while it has no
     bankrupt path, year by year as :func:`_path_utilities` sums a batch's
@@ -187,11 +188,11 @@ def value_from_batch(batch: SimulationBatch, cfg: FundConfig) -> ObjectiveValue:
 
 
 def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue:
-    """Monte Carlo estimate of the policy's certainty equivalent, on the
-    spec's draws and year totals, which the first policy scored generates."""
-    batch = simulate_batch(spec.cfg, policy, spec.mkt, spec.normals,
-                           year_totals=spec.year_totals)
-    return value_from_batch(batch, spec.cfg)
+    """Monte Carlo estimate of the policy's certainty equivalent by the one
+    scorer, :func:`_block_scores`, on the spec's draws and year totals, which
+    the first policy scored generates."""
+    scored = _block_scores(spec.cfg, [policy], spec.mkt, spec.normals, spec.year_totals)
+    return _value(scored, spec.cfg.gamma)
 
 
 # paths per block when one policy is scored, and the least per block when

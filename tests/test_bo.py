@@ -433,13 +433,23 @@ class TestRunBo:
             summed.append(normals.shape)
             return _year_totals(cfg, normals)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("the optimizer recorded a batch of payments")
+
         monkeypatch.setattr("cdcfund.objective._year_totals", recording)
         spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=preset_market("M1"), n_paths=20)
-        trace = run_bo(spec, BoConfig(n_init=4, n_total=9, seed=0))
+        # the optimizer scores in the engine's year loop: it records no batch
+        with monkeypatch.context() as patch:
+            patch.setattr("cdcfund.fund.simulate_batch", refuse)
+            patch.setattr("cdcfund.objective.simulate_batch", refuse, raising=False)
+            trace = run_bo(spec, BoConfig(n_init=4, n_total=9, seed=0))
         assert summed == [(20, spec.cfg.n_steps)]
-        # the summed totals score every candidate to the bit
+        assert {rec.any_bankruptcy for rec in trace.records} == {False, True}
+        # the summed totals score every candidate to the bit of its recorded batch
+        fields = ("ce", "eu", "eu_stderr", "n_bankrupt", "any_bankruptcy", "solvency_margin")
         for rec in trace.records:
             batch = simulate_batch(spec.cfg, PolicyParams(rec.pi, rec.theta), spec.mkt, spec.normals)
             value = value_from_batch(batch, spec.cfg)
-            assert repr((rec.ce, rec.eu)) == repr((value.ce, value.eu))
+            expected = [getattr(value, f) for f in fields]
+            assert repr([getattr(rec, f) for f in fields]) == repr(expected)
 

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdcfund.fund import (
-    FundConfig, PolicyParams, _simulate, _year_totals, entry_cohort_account, simulate_batch,
+    FundConfig, PolicyParams, SimulationBatch, _simulate, _year_totals, entry_cohort_account,
+    simulate_batch,
 )
 from cdcfund.idc import idc_terminal_benefits, idc_trajectories
 from cdcfund.market import RandomStream, normal_matrix, preset_market
@@ -45,7 +46,8 @@ RECORDED_FIELDS = {
 PATH_ARRAYS = ("payments", "bankrupt_at", "assets", "liabilities")
 # monthly, yearly (no step inside a year) and weekly inner steps
 STEP_SIZES = (1 / 12, 1.0, 1 / 52)
-# the engine sums each year's draws in its year step, or is given their totals
+# simulate_batch sums each year's draws in its year step; the engine can be
+# given their totals instead
 TOTALS = pytest.mark.parametrize("totals", [False, True], ids=["summed", "given"])
 SIMULATORS = {
     "simulate_batch": lambda normals: simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, normals),
@@ -262,10 +264,27 @@ class TestSimulatePath:
         assert np.all(bumped.payments[:10] >= base.payments[:10])
 
 
+def given_totals(cfg, policy, mkt, normals, year_totals, **recordings):
+    """The engine ``_simulate`` on one policy, given ``year_totals``, with a
+    callback that stores the payments: its results as a batch."""
+    paid = np.full((cfg.horizon, len(normals)), -1.0)  # a year not paid fails the oracles
+
+    def store(t, benefit, live):
+        paid[t - 1] = benefit[0]
+
+    bankrupt_at, [margin], recorded = _simulate(
+        cfg, [policy], mkt, normals, year_totals, store, **recordings
+    )
+    return SimulationBatch(payments=paid.T, bankrupt_at=bankrupt_at[0], horizon=cfg.horizon,
+                           steps_per_year=cfg.steps_per_year, solvency_margin=margin, **recorded)
+
+
 def run(cfg, policy, mkt, normals, totals, **recordings):
-    """``simulate_batch``, given the draws' year totals if ``totals``."""
-    year_totals = _year_totals(cfg, normals) if totals else None
-    return simulate_batch(cfg, policy, mkt, normals, year_totals=year_totals, **recordings)
+    """``simulate_batch``, or the engine given the draws' year totals if
+    ``totals``."""
+    if totals:
+        return given_totals(cfg, policy, mkt, normals, _year_totals(cfg, normals), **recordings)
+    return simulate_batch(cfg, policy, mkt, normals, **recordings)
 
 
 class TestSimulateBatch:
@@ -495,8 +514,8 @@ class TestSimulateBatch:
         # the engine reads the totals it is given instead of summing the draws
         policy, normals = PolicyParams(0.865, 0.345), draws(6, 40)
         summed = simulate_batch(CFG, policy, M1, normals, record_state=True)
-        zero = simulate_batch(CFG, policy, M1, normals, record_state=True,
-                              year_totals=np.zeros((CFG.horizon, 40)))
+        zero = given_totals(CFG, policy, M1, normals, np.zeros((CFG.horizon, 40)),
+                            record_state=True)
         assert np.array_equal(summed.assets[:, 0], zero.assets[:, 0])
         assert not np.array_equal(summed.assets[:, CFG.steps_per_year],
                                   zero.assets[:, CFG.steps_per_year])
@@ -504,8 +523,7 @@ class TestSimulateBatch:
     def test_rejects_year_totals_of_other_draws(self):
         normals = draws(0, 3)
         with pytest.raises(ValueError, match=r"^year_totals must have shape \(100, 3\)"):
-            simulate_batch(CFG, PolicyParams(0.5, 0.5), M1, normals,
-                           year_totals=_year_totals(CFG, draws(0, 4)))
+            given_totals(CFG, PolicyParams(0.5, 0.5), M1, normals, _year_totals(CFG, draws(0, 4)))
 
     @pytest.mark.parametrize("recording", RECORDINGS)
     def test_recordings_of_several_policies_rejected_before_any_work(self, recording):

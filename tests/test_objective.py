@@ -603,16 +603,19 @@ class TestEnginePasses:
         n_paths=st.integers(16, 24),
         per_pass=st.integers(1, 8),
         totals=st.booleans(),
+        gamma=st.sampled_from([1.0, 3.0, 10.0]),
     )
     @settings(max_examples=20, deadline=None)
     def test_passes_equal_policy_by_policy(
-        self, policies, at, market, dt, n_paths, per_pass, totals
+        self, policies, at, market, dt, n_paths, per_pass, totals, gamma
     ):
-        cfg, mkt = FundConfig(dt=dt, horizon=60), preset_market(market)
+        cfg, mkt = FundConfig(dt=dt, horizon=60, gamma=gamma), preset_market(market)
         at = min(at, len(policies))
         group = [*policies[:at], self.BANKRUPT[market], *policies[at:], self.SOLVENT]
         spec = ObjectiveSpec(cfg=cfg, mkt=mkt, n_paths=n_paths, seed=0)
-        serial = [evaluate_policy(policy, spec) for policy in group]
+        # the reference scores each policy's recorded payments
+        serial = [value_from_batch(simulate_batch(cfg, policy, mkt, spec.normals), cfg)
+                  for policy in group]
         normals = _normal_rows(0, 0, n_paths, cfg.n_steps)
         year_totals = _year_totals(cfg, normals) if totals else None
         # passes of per_pass policies, which need not divide the group; the
