@@ -23,7 +23,7 @@ __all__ = [
     "tail_cdf_points",
 ]
 
-_ROUGHNESS_BLOCK = 256  # rows per block: bounds the temporaries of a long path matrix
+_ROUGHNESS_BLOCK = 32  # rows per block: bounds the temporaries of a long path matrix
 
 
 def ir_roughness_batch(paths: np.ndarray) -> np.ndarray:

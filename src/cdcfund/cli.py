@@ -41,6 +41,9 @@ __all__ = [
 
 TRACKED_GENERATION = 41  # generation whose account path is dumped and scored
 TRACKING_COMMANDS = ("simulate", "analyze", "run-cell")
+# paths per block of the benchmark's tracked account in the analysis: smaller
+# blocks lower no peak, and each block runs the account's whole year loop
+_IDC_BLOCK = 256
 
 FAST_PROFILE = {"n_paths": 2_000, "n_total": 60}  # what --fast sets
 
@@ -319,8 +322,20 @@ def _analysis_outputs(config: ExperimentConfig, policy: PolicyParams, outdir: Pa
         cfg, policy, spec.mkt, spec.normals,
         record_funding_ratios=True, tracked_generations=(TRACKED_GENERATION,),
     )
+    # a tracked account is reduced to its roughness as soon as it exists, the
+    # benchmark's a block of paths at a time: a path's roughness depends on
+    # its own draws only, and no whole account matrix outlives its reduction
+    roughness = {
+        "CDC": ir_roughness_batch(batch.account_trajectories.pop(TRACKED_GENERATION)),
+        "IDC": np.concatenate([
+            ir_roughness_batch(idc_trajectories(
+                cfg, policy.pi, spec.mkt, spec.normals[lo : lo + _IDC_BLOCK],
+                (TRACKED_GENERATION,),
+            )[TRACKED_GENERATION])
+            for lo in range(0, spec.n_paths, _IDC_BLOCK)
+        ]),
+    }
     idc_terms = idc_terminal_benefits(cfg, policy.pi, spec.mkt, spec.normals, generations)
-    idc_traj = idc_trajectories(cfg, policy.pi, spec.mkt, spec.normals, (TRACKED_GENERATION,))
 
     cdc_by_gen = {i: batch.benefits(i) for i in generations}
     rows = welfare_rows(cdc_by_gen, idc_terms, cfg.gamma)
@@ -331,10 +346,6 @@ def _analysis_outputs(config: ExperimentConfig, policy: PolicyParams, outdir: Pa
         [(r.generation, r.plan, r.median, r.q01, r.ce) for r in rows],
     )
 
-    roughness = {
-        "CDC": ir_roughness_batch(batch.account_trajectories[TRACKED_GENERATION]),
-        "IDC": ir_roughness_batch(idc_traj[TRACKED_GENERATION]),
-    }
     n_finite = {plan: int(np.isfinite(r).sum()) for plan, r in roughness.items()}
     mean_roughness = {  # NaN when every path went bankrupt before the generation retired
         plan: float(np.nanmean(r)) if n_finite[plan] else np.nan for plan, r in roughness.items()
@@ -390,24 +401,25 @@ def _trajectory_output(spec: ObjectiveSpec, policy: PolicyParams, outdir: Path) 
     spy = cfg.steps_per_year
     birth_month = (TRACKED_GENERATION - cfg.n_generations) * spy
     life = cfg.n_generations * spy
-    assets = batch.assets.tolist()
-    liabilities = batch.liabilities.tolist()
-    ratios = (batch.assets / batch.liabilities).tolist()
-    cdc_tracked = batch.account_trajectories[TRACKED_GENERATION].tolist()
-    idc_tracked = idc_traj[TRACKED_GENERATION].tolist()
+    cdc_tracked = batch.account_trajectories[TRACKED_GENERATION]
+    idc_tracked = idc_traj[TRACKED_GENERATION]
 
-    rows = []
-    for p in range(n_paths):
-        for m in range(cfg.n_steps + 1):
-            local = m - birth_month
-            b41 = cdc_tracked[p][local] if 0 <= local <= life else None
-            b41 = None if b41 is not None and math.isnan(b41) else b41
-            rows.append(("CDC", p, m, assets[p][m], liabilities[p][m], ratios[p][m], b41))
-        for local in range(life + 1):
-            rows.append(("IDC", p, birth_month + local, idc_tracked[p][local],
-                         None, None, idc_tracked[p][local]))
+    def rows():  # path by path: only one path's rows exist as Python objects
+        for p in range(n_paths):
+            assets, liabilities = batch.assets[p], batch.liabilities[p]
+            ratios = (assets / liabilities).tolist()
+            assets, liabilities = assets.tolist(), liabilities.tolist()
+            cdc, idc = cdc_tracked[p].tolist(), idc_tracked[p].tolist()
+            for m in range(cfg.n_steps + 1):
+                local = m - birth_month
+                b41 = cdc[local] if 0 <= local <= life else None
+                b41 = None if b41 is not None and math.isnan(b41) else b41
+                yield ("CDC", p, m, assets[m], liabilities[m], ratios[m], b41)
+            for local in range(life + 1):
+                yield ("IDC", p, birth_month + local, idc[local], None, None, idc[local])
+
     path = outdir / "trajectory.csv"
-    _write_csv(path, TRAJECTORY_HEADER, rows)
+    _write_csv(path, TRAJECTORY_HEADER, rows())
     return path
 
 

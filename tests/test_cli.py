@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,15 @@ from cdcfund.cli import (
     TRAJECTORY_HEADER,
     WELFARE_HEADER,
     ConfigError,
+    _analysis_outputs,
     _lattice,
+    _trajectory_output,
     main,
     parse_config,
     run_cell,
     run_grid_oracle,
 )
+from cdcfund.fund import PolicyParams
 from cdcfund.market import _normal_rows, preset_market
 from cdcfund.objective import evaluate_policy
 from draws import record_generated
@@ -497,3 +501,54 @@ class TestCommands:
         assert m1["outputs"] == m2["outputs"]
         echoed = json.loads((out1 / "effective_config.json").read_text())
         assert m1["config"] == m2["config"] == echoed
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of ``fn()`` in bytes; numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestArtifactMemory:
+    SOLVENT = PolicyParams(pi=0.865, theta=0.345)
+
+    @staticmethod
+    def spec_with_draws(n_paths: int):
+        config = parse_config(f'{{"n_paths": {n_paths}, "seed": 1}}')
+        config.spec.normals  # generated before the trace, as the optimizer leaves them
+        return config
+
+    def test_trajectory_rows_are_written_path_by_path(self, tmp_path):
+        spec = self.spec_with_draws(50).spec
+        cfg = spec.cfg
+        state = 2 * (cfg.n_steps + 1)  # assets and liabilities
+        accounts = 2 * (cfg.n_generations * cfg.steps_per_year + 1)  # CDC and IDC
+        recorded = 8 * spec.n_paths * (state + accounts)
+        peak = traced_peak(lambda: _trajectory_output(spec, self.SOLVENT, tmp_path))
+        assert peak < 2 * recorded
+
+    def test_analysis_holds_no_whole_account_matrix(self, tmp_path):
+        config = self.spec_with_draws(2_000)
+        spec = config.spec
+        cfg = spec.cfg
+        tracked = 8 * spec.n_paths * (cfg.n_generations * cfg.steps_per_year + 1)
+        payments = 8 * spec.n_paths * cfg.horizon
+        peak = traced_peak(lambda: _analysis_outputs(config, self.SOLVENT, tmp_path))
+        assert peak < 1.5 * (tracked + payments)
+
+    def test_analysis_bytes_do_not_depend_on_the_blocks(self, tmp_path, monkeypatch):
+        # one block of every path is the one-pass computation
+        config = self.spec_with_draws(2_000)
+        blocked, whole = tmp_path / "blocked", tmp_path / "whole"
+        blocked.mkdir()
+        whole.mkdir()
+        written = _analysis_outputs(config, self.SOLVENT, blocked)
+        monkeypatch.setattr("cdcfund.analysis._ROUGHNESS_BLOCK", config.spec.n_paths)
+        monkeypatch.setattr("cdcfund.cli._IDC_BLOCK", config.spec.n_paths)
+        _analysis_outputs(config, self.SOLVENT, whole)
+        for path in written:
+            assert path.read_bytes() == (whole / path.name).read_bytes(), path.name
