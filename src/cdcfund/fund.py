@@ -30,6 +30,11 @@ __all__ = [
 # policy box: risky fraction in [0, 3], adjustment strength in [0, 1]
 OMEGA = ((0.0, 3.0), (0.0, 1.0))
 
+# the ufunc buffer, in elements, of a pass of several policies: under numpy's
+# 8,192 a (1, n) row times a (K, 1) column costs 3-4x more per element below
+# about 3,000 paths, under 512 only below about 250 (BENCH_lattice_blocks.json)
+_PASS_BUFSIZE = 512
+
 
 @dataclass(frozen=True)
 class FundConfig:
@@ -377,8 +382,11 @@ def _simulate(
     ``(K, n_paths)`` benefits paid, NaN on bankrupt paths, and ``live``, the
     rows with no bankrupt path so far (None while no path of any row is
     bankrupt). Recordings need one policy; for more they are rejected before
-    any work. Returns the ``(K, n_paths)`` bankrupt years, each row's
-    solvency margin and the recordings as :class:`SimulationBatch` fields.
+    any work. Several policies step under a ufunc buffer of
+    ``_PASS_BUFSIZE`` elements, and the caller's buffer size is back when
+    this returns or raises. Returns the ``(K, n_paths)`` bankrupt years, each
+    row's solvency margin and the recordings as :class:`SimulationBatch`
+    fields.
     """
     spy = cfg.steps_per_year
     n_steps = cfg.n_steps
@@ -450,75 +458,82 @@ def _simulate(
     retiring = np.empty(shape)  # the next retiree's account
     flow, ratio, term = np.empty((3, *shape))
     survived = np.empty(shape, dtype=bool)
-    for t in range(cfg.horizon + 1):
-        # year-boundary jump: pay the retiree, collect contributions
-        np.subtract(n * cfg.y, benefit, out=flow)
-        assets += flow
-        liabilities += flow
-        np.divide(assets, liabilities, out=ratio)  # the post-payout funding ratio
-        if live is None or len(live):
-            # once a row has a dead path its margin is the bankrupt fraction,
-            # so its smallest ratio is only needed while some row is all live
-            np.minimum(min_ratio, ratio.min(axis=1), out=min_ratio)
-        np.greater(assets, 0.0, out=survived)
-        if dead is not None or not survived.all():
-            bankrupt_at[np.isnan(bankrupt_at) & ~survived] = t
-            solvent = np.isnan(bankrupt_at)
-            dead = np.flatnonzero(~solvent)
-            live = np.flatnonzero(solvent.all(axis=1))
-        if t >= 1:
-            if dead is not None:
-                benefit.reshape(-1)[dead] = np.nan
-            pay(t, benefit, live)
-        if t == cfg.horizon:
-            break
-        if dead is not None:
-            assets.reshape(-1)[dead] = 1.0
-            liabilities.reshape(-1)[dead] = 1.0
-            ratio.reshape(-1)[dead] = 1.0  # their A/L
-
-        # this year's contribution enters the running sums
-        np.divide(cfg.y, cum_credit, out=term)
-        np.add(sums[t % (n + 1)], term, out=sums[(t + 1) % (n + 1)])
-        account(t + 1, t, out=retiring)
-
-        # this year's draws, one contiguous row of paths per step when the
-        # draws are stored time-major, against the policies' columns
-        year = normals[:, t * spy : (t + 1) * spy].T[:, None]
-        log_ratio = np.log(ratio, out=ratio)
-        _growth_so_far(year, drift, scale, growth, None if year_totals is None else year_totals[t])
-        _credit_so_far(year, log_ratio, drift, scale, theta_dt, weights, credit, term)
-
-        # the year's recordings (one policy: row 0), NaN on paths dead before it began
-        for i in tracked_generations:
-            if i - n <= t < i:
-                np.multiply(credit, account(i, t, out=tracked_year[0]), out=tracked_year[1:])
-                lo = 0 if t == i - n else 1  # a newcomer's samples begin at its start
-                _store_year(trajectories[i], tracked_year[lo:, 0], (t - i + n) * spy + lo, dead)
-        # the state takes the last rows (recorded samples overwrite them with the next state)
-        np.multiply(retiring, credit[-1], out=benefit)
-        cum_credit *= credit[-1]
-        growth *= assets
-        credit *= liabilities
-        np.copyto(assets, growth[-1])
-        np.copyto(liabilities, credit[-1])
-        first = t * spy + 1
-        if record_state:
-            _store_year(asset_rec, growth[:, 0], first, dead)
-            _store_year(liab_rec, credit[:, 0], first, dead)
-        if record_funding_ratios:
-            # each step's mean over the live paths (A/L overwrites the stored
-            # asset): a row sum with the dead paths at 0, or NaN when none is live
-            ratio_year = np.divide(growth, credit, out=growth)[:, 0]
-            span = mean_ratio[first : first + spy]
-            n_live = int(np.count_nonzero(np.isnan(bankrupt_at)))
-            if n_live:
+    # several policies step under a small ufunc buffer (see _PASS_BUFSIZE)
+    caller_bufsize = np.setbufsize(_PASS_BUFSIZE if len(policies) > 1 else np.getbufsize())
+    try:
+        for t in range(cfg.horizon + 1):
+            # year-boundary jump: pay the retiree, collect contributions
+            np.subtract(n * cfg.y, benefit, out=flow)
+            assets += flow
+            liabilities += flow
+            np.divide(assets, liabilities, out=ratio)  # the post-payout funding ratio
+            if live is None or len(live):
+                # once a row has a dead path its margin is the bankrupt fraction,
+                # so its smallest ratio is only needed while some row is all live
+                np.minimum(min_ratio, ratio.min(axis=1), out=min_ratio)
+            np.greater(assets, 0.0, out=survived)
+            if dead is not None or not survived.all():
+                bankrupt_at[np.isnan(bankrupt_at) & ~survived] = t
+                solvent = np.isnan(bankrupt_at)
+                dead = np.flatnonzero(~solvent)
+                live = np.flatnonzero(solvent.all(axis=1))
+            if t >= 1:
                 if dead is not None:
-                    ratio_year[:, dead] = 0.0
-                np.add.reduce(ratio_year, axis=1, out=span)
-                span /= n_live
-            else:
-                span[:] = np.nan
+                    benefit.reshape(-1)[dead] = np.nan
+                pay(t, benefit, live)
+            if t == cfg.horizon:
+                break
+            if dead is not None:
+                assets.reshape(-1)[dead] = 1.0
+                liabilities.reshape(-1)[dead] = 1.0
+                ratio.reshape(-1)[dead] = 1.0  # their A/L
+
+            # this year's contribution enters the running sums
+            np.divide(cfg.y, cum_credit, out=term)
+            np.add(sums[t % (n + 1)], term, out=sums[(t + 1) % (n + 1)])
+            account(t + 1, t, out=retiring)
+
+            # this year's draws, one contiguous row of paths per step when the
+            # draws are stored time-major, against the policies' columns
+            year = normals[:, t * spy : (t + 1) * spy].T[:, None]
+            log_ratio = np.log(ratio, out=ratio)
+            total = None if year_totals is None else year_totals[t]
+            _growth_so_far(year, drift, scale, growth, total)
+            _credit_so_far(year, log_ratio, drift, scale, theta_dt, weights, credit, term)
+
+            # the year's recordings (one policy: row 0), NaN on paths dead before it began
+            for i in tracked_generations:
+                if i - n <= t < i:
+                    np.multiply(credit, account(i, t, out=tracked_year[0]), out=tracked_year[1:])
+                    lo = 0 if t == i - n else 1  # a newcomer's samples begin at its start
+                    _store_year(trajectories[i], tracked_year[lo:, 0], (t - i + n) * spy + lo,
+                                dead)
+            # the state takes the last rows (recorded samples overwrite them with the next state)
+            np.multiply(retiring, credit[-1], out=benefit)
+            cum_credit *= credit[-1]
+            growth *= assets
+            credit *= liabilities
+            np.copyto(assets, growth[-1])
+            np.copyto(liabilities, credit[-1])
+            first = t * spy + 1
+            if record_state:
+                _store_year(asset_rec, growth[:, 0], first, dead)
+                _store_year(liab_rec, credit[:, 0], first, dead)
+            if record_funding_ratios:
+                # each step's mean over the live paths (A/L overwrites the stored
+                # asset): a row sum with the dead paths at 0, or NaN when none is live
+                ratio_year = np.divide(growth, credit, out=growth)[:, 0]
+                span = mean_ratio[first : first + spy]
+                n_live = int(np.count_nonzero(np.isnan(bankrupt_at)))
+                if n_live:
+                    if dead is not None:
+                        ratio_year[:, dead] = 0.0
+                    np.add.reduce(ratio_year, axis=1, out=span)
+                    span /= n_live
+                else:
+                    span[:] = np.nan
+    finally:
+        np.setbufsize(caller_bufsize)  # also when pay raises
 
     margins = [_solvency_margin(row, row_min) for row, row_min in zip(bankrupt_at, min_ratio)]
     return bankrupt_at, margins, dict(mean_funding_ratio=mean_ratio, assets=asset_rec,

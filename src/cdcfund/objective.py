@@ -195,15 +195,12 @@ def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue
     return _value(scored, spec.cfg.gamma)
 
 
-# paths per block when one policy is scored, and the least per block when
-# several are: a block's draws at monthly steps over 100 years take 9.6 MB
+# the most paths per block: a block's draws at monthly steps over 100 years
+# take 9.6 MB
 _EVAL_BLOCK = 1_000
-# the most paths per block when several policies are scored, so a block's
-# draws stay under 48 MB however few CPUs there are
-_LATTICE_BLOCK = 5_000
 # the state cells, policies times paths, of one engine pass over a block:
-# three policies at a time on 5,000 paths, fifteen on 1,000 (at 20,000 the
-# pass's ring of running sums lifts a 5,000-path worker's peak by 6%)
+# fifteen policies at a time on 1,000 paths, whose ring of running sums
+# holds 4.9 MB beside the block's 9.6 MB of draws; twenty-four on 625
 _PASS_CELLS = 15_000
 
 _worker_fn = None  # a pool worker's function, set once at its start
@@ -248,43 +245,35 @@ def evaluate_policies(policies, spec: ObjectiveSpec) -> list[ObjectiveValue]:
     """:func:`evaluate_policy` of each policy on the spec's draws, in order,
     on every CPU of this process's affinity mask.
 
-    The paths are split into blocks, each drawn where it is scored, so the
-    spec's draws are never generated and no process holds them all. One
-    policy is scored in fixed blocks of ``_EVAL_BLOCK`` paths. Several are
-    scored on one block per usable CPU, of at least ``_EVAL_BLOCK`` paths
-    each and more blocks where one would exceed ``_LATTICE_BLOCK``. CPUs
-    the blocks leave over split the policies into groups, in order, and
-    each group draws every block again, so there is one task per usable
-    CPU, capped by the policies. A task sums its block's year totals once
-    for its group's policies and steps them through the engine a pass at a
+    The paths are split into equal blocks, each drawn where it is scored, so
+    the spec's draws are never generated and no process holds them all. The
+    blocks are as few as keep each at most ``_EVAL_BLOCK`` paths while their
+    count is a multiple of the usable CPUs, and never more than the paths: on
+    2 CPUs 10,000 paths make ten 1,000-path blocks, on 8 CPUs sixteen of 625.
+    A block is one task, for every policy. It sums its year totals once if
+    there are several policies and steps them through the engine a pass at a
     time, each pass as many policies as fit ``_PASS_CELLS`` states on the
-    block's paths (three on 5,000 paths, fifteen on 1,000), on one
-    ``(K, n_paths)`` state. It returns each policy's per-path discounted
-    utilities, summed in the year loop (None if a path is bankrupt),
-    bankrupt years and margin, not its payments; each policy's are joined
-    in path order. A path's utility has the same bits in any block and any
-    pass, so the values are the same on any number of CPUs. A worker's
-    exception is re-raised here.
+    block's paths (fifteen on 1,000 paths), on one ``(K, n_paths)`` state.
+    It returns each policy's per-path discounted utilities, summed in the
+    year loop (None if a path is bankrupt), bankrupt years and margin, not
+    its payments; each policy's are joined in path order. A path's utility
+    has the same bits in any block and any pass, so the values are the same
+    on any number of CPUs. A worker's exception is re-raised here.
     """
     policies = list(policies)
+    if not policies:
+        return []
     cfg, n_paths, cpus = spec.cfg, spec.n_paths, _usable_cpus()
-    n_blocks = max(1, min(cpus, n_paths // _EVAL_BLOCK), -(-n_paths // _LATTICE_BLOCK))
-    bounds = ([*range(0, n_paths, _EVAL_BLOCK), n_paths] if len(policies) == 1
-              else [n_paths * k // n_blocks for k in range(n_blocks + 1)])
-    n_blocks = len(bounds) - 1
-    n_groups = min(len(policies), max(1, cpus // n_blocks))
-    groups = [policies[len(policies) * k // n_groups : len(policies) * (k + 1) // n_groups]
-              for k in range(n_groups)]
+    n_blocks = min(n_paths, cpus * -(-n_paths // (cpus * _EVAL_BLOCK)))
+    bounds = [n_paths * k // n_blocks for k in range(n_blocks + 1)]
 
-    def score_block(lo: int, hi: int, group: list) -> list[tuple]:
+    def score_block(lo: int, hi: int) -> list[tuple]:
         normals = _normal_rows(spec.seed, lo, hi, cfg.n_steps)
         # one policy sums each year's draws inside the year step, with no extra array
-        totals = _year_totals(cfg, normals) if len(group) > 1 else None
+        totals = _year_totals(cfg, normals) if len(policies) > 1 else None
         per_pass = max(1, _PASS_CELLS // (hi - lo))
-        return [scored for k in range(0, len(group), per_pass)
-                for scored in _block_scores(cfg, group[k : k + per_pass], spec.mkt, normals, totals)]
+        return [scored for k in range(0, len(policies), per_pass) for scored in
+                _block_scores(cfg, policies[k : k + per_pass], spec.mkt, normals, totals)]
 
-    tasks = [(lo, hi, group) for group in groups for lo, hi in zip(bounds, bounds[1:])]
-    per_task = _fork_map(lambda task: score_block(*task), tasks)
-    return [_value(scored, cfg.gamma) for k in range(n_groups)
-            for scored in zip(*per_task[k * n_blocks : (k + 1) * n_blocks])]
+    per_block = _fork_map(lambda block: score_block(*block), zip(bounds, bounds[1:]))
+    return [_value(scored, cfg.gamma) for scored in zip(*per_block)]

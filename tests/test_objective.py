@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import signal
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcfund import objective
+from cdcfund import fund, objective
 from cdcfund.fund import (
     OMEGA, FundConfig, PolicyParams, SimulationBatch, _simulate, _year_totals, simulate_batch,
 )
@@ -258,10 +259,10 @@ class TestEvaluatePolicy:
 class TestEvaluatePolicies:
     SPEC = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=20, seed=4)
     POLICIES = [PolicyParams(pi=pi, theta=0.3) for pi in (0.0, 0.5, 1.0, 2.0, 3.0)]
-    # enough paths for several policies to be split into a block per CPU on 2 CPUs
+    # enough paths for several blocks: three on one CPU, four on two
     BLOCKS_SPEC = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=2_393, seed=4)
     # solvent; bankrupt in one block of 2,393 paths at seed 0 (paths 1,300 and
-    # 1,424, in the second block on 2 CPUs and in the second 1,000-path block);
+    # 1,424, in the second of three blocks on one CPU, the third of four on two);
     # bankrupt in every block
     LATTICE = [PolicyParams(0.865, 0.345), PolicyParams(3.0, 1.0), PolicyParams(3.0, 0.0)]
     MULTI_CPU = pytest.mark.skipif(
@@ -401,19 +402,21 @@ class TestEvaluatePolicies:
         monkeypatch.setattr("cdcfund.objective._normal_rows", recording)
         spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=2_393, seed=4)
         evaluate_policies([self.POLICIES[1]], spec)
-        assert drawn == [(0, 1_000), (1_000, 2_000), (2_000, 2_393)]
+        assert drawn == [(0, 797), (797, 1_595), (1_595, 2_393)]  # three equal blocks
         assert not made and "normals" not in vars(spec)
 
     @pytest.mark.parametrize("policy, blocks_bankrupt", [
-        (PolicyParams(0.865, 0.345), [False, False, False]),
+        (PolicyParams(0.865, 0.345), [False, False, False, False]),
         # found by a loop over seeds 0-5 at pi = 3, theta = 1: seed 0 sends
-        # two paths of the second block, and none of the others, bankrupt
-        (PolicyParams(3.0, 1.0), [False, True, False]),
-        (PolicyParams(3.0, 0.0), [True, True, True]),
+        # paths 1,300 and 1,424, in the third block, and no others, bankrupt
+        (PolicyParams(3.0, 1.0), [False, False, True, False]),
+        (PolicyParams(3.0, 0.0), [True, True, True, True]),
     ], ids=["solvent", "one-block-bankrupt", "bankrupt"])
     def test_blocks_send_back_per_path_values_not_payments(
         self, monkeypatch, policy, blocks_bankrupt
     ):
+        # two CPUs: four blocks of 598 or 599 paths, scored by the stub pool
+        self.stub_pool(monkeypatch, {0, 1})
         results = []
         fork_map = objective._fork_map
 
@@ -428,8 +431,8 @@ class TestEvaluatePolicies:
         [value] = evaluate_policies([policy], spec)
         [blocks] = results
         assert len(blocks) == len(blocks_bankrupt)
-        for k, (block, bankrupt) in enumerate(zip(blocks, blocks_bankrupt)):
-            size = min(n_paths - k * 1_000, 1_000)
+        bounds = [0, 598, 1_196, 1_794, 2_393]
+        for block, bankrupt, size in zip(blocks, blocks_bankrupt, np.diff(bounds)):
             [(per_path, bankrupt_at, margin)] = block  # one policy's result
             assert (per_path is None) is bankrupt
             arrays = [bankrupt_at] if bankrupt else [per_path, bankrupt_at]
@@ -438,39 +441,21 @@ class TestEvaluatePolicies:
         # NaN-aware, n_bankrupt and margin included
         assert repr(value) == repr(evaluate_policy(policy, spec))
 
-    @pytest.mark.parametrize("policies, n_paths, workers", [
-        (POLICIES, 20, 5),  # one block, scored by a group of one policy per worker
-        (POLICIES, 2_393, 10),  # two blocks of at least 1,000 paths, each for five groups
-        (POLICIES, 4_999, 20),
-        (POLICIES[:1], 2_393, 3),  # one worker per path block
-        (POLICIES[:1], 20, 1),  # a single block runs here
+    @pytest.mark.parametrize("n_policies", [1, 5])
+    @pytest.mark.parametrize("cpus, n_paths, n_blocks", [
+        (2, 10_000, 10),  # `grid` and `evaluate` at 10k paths: 1,000-path blocks
+        (8, 10_000, 16),  # the fewest multiple of 8 at or below 1,000 paths: 625
+        (1, 10_000, 10),
+        (8, 2_000, 8),  # `grid --fast` on 8 CPUs: one 250-path block per CPU
+        (2, 2_393, 4),  # 598 or 599 paths, uneven
+        (10_000, 20, 20),  # never more blocks than paths: no block is empty
+        (10_000, 1, 1),  # a single block runs here, with no pool
     ])
-    def test_workers_are_capped_by_the_items(self, monkeypatch, policies, n_paths, workers):
-        asked = self.stub_pool(monkeypatch, set(range(10_000)))
-        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=n_paths, seed=4)
-        values = evaluate_policies(policies, spec)
-        assert asked == ([workers] if workers > 1 else [])
-        assert [repr(v) for v in values] == [repr(evaluate_policy(p, spec)) for p in policies]
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("cpus, n_paths, blocks, group_sizes", [
-        ({0}, 2_393, [(0, 2_393)], [5]),
-        ({0, 1}, 2_393, [(0, 1_196), (1_196, 2_393)], [5]),
-        ({0, 1}, 10_000, [(0, 5_000), (5_000, 10_000)], [5]),
-        # two blocks would hold fewer than 1,000 paths: the second CPU scores
-        # the later policies on the same block
-        ({0, 1}, 1_999, [(0, 1_999)], [2, 3]),
-        ({0}, 10_000, [(0, 5_000), (5_000, 10_000)], [5]),  # no block holds more than 5,000
-        ({0, 1}, 10_001, [(0, 3_333), (3_333, 6_667), (6_667, 10_001)], [5]),
-        # `grid --fast` on 8 CPUs: two blocks times four groups, a task per CPU
-        (set(range(8)), 2_000, [(0, 1_000), (1_000, 2_000)], [1, 1, 1, 2]),
-        (set(range(8)), 10_000, [(1_250 * k, 1_250 * (k + 1)) for k in range(8)], [5]),
-    ])
-    def test_several_policies_share_one_block_per_cpu(
-        self, monkeypatch, cpus, n_paths, blocks, group_sizes
+    def test_paths_split_into_equal_blocks_a_multiple_of_the_cpus(
+        self, monkeypatch, cpus, n_paths, n_blocks, n_policies
     ):
         # the stub pool maps the tasks in this process, where their draws can be seen
-        asked = self.stub_pool(monkeypatch, cpus)
+        asked = self.stub_pool(monkeypatch, set(range(cpus)))
         rows = []
 
         def recording(seed, lo, hi, n_steps):
@@ -485,31 +470,33 @@ class TestEvaluatePolicies:
             return _simulate(cfg, policies, mkt, normals, year_totals, pay)
 
         monkeypatch.setattr("cdcfund.objective._simulate", simulating)
+        policies = self.POLICIES[:n_policies]
         spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=n_paths, seed=4)
-        values = evaluate_policies(self.POLICIES, spec)
-        # each group draws every block, in path order
-        assert rows == blocks * len(group_sizes)
-        tasks = len(blocks) * len(group_sizes)
-        assert tasks <= max(len(cpus), len(blocks))
-        workers = min(len(cpus), tasks)
-        assert asked == ([workers] if workers > 1 else [])
-        # a block's year totals, summed once, are given to each engine pass
-        # of a group, at most _PASS_CELLS // paths policies a pass; a group
-        # of one sums each year's draws in the year step
+        values = evaluate_policies(policies, spec)
+        # each block is drawn once, in path order, and no two sizes differ by more than a path
+        bounds = [n_paths * k // n_blocks for k in range(n_blocks + 1)]
+        assert rows == list(zip(bounds, bounds[1:]))
+        sizes = np.diff(bounds)
+        assert sizes.min() >= 1 and sizes.max() <= objective._EVAL_BLOCK
+        assert sizes.max() - sizes.min() <= 1
+        assert asked == ([min(cpus, n_blocks)] if min(cpus, n_blocks) > 1 else [])
+        # a block's year totals, summed once, are given to each of its engine
+        # passes, at most _PASS_CELLS // paths policies a pass; one policy
+        # sums each year's draws in the year step
         assert passes == [
-            (min(per_pass, size - k), (30, hi - lo) if size > 1 else None)
-            for size in group_sizes for lo, hi in blocks
+            (min(per_pass, n_policies - k), (30, hi - lo) if n_policies > 1 else None)
+            for lo, hi in zip(bounds, bounds[1:])
             for per_pass in [objective._PASS_CELLS // (hi - lo)]
-            for k in range(0, size, per_pass)
+            for k in range(0, n_policies, per_pass)
         ]
         monkeypatch.undo()
-        assert [repr(v) for v in values] == [repr(evaluate_policy(p, spec)) for p in self.POLICIES]
+        assert [repr(v) for v in values] == [repr(evaluate_policy(p, spec)) for p in policies]
 
-    def test_passes_split_a_group_by_state_cells(self, monkeypatch):
-        # one CPU: one 2,393-path block for all five policies, two policies a
-        # pass when a pass holds 2 x 2,393 states, and the values unchanged
+    def test_passes_split_the_policies_by_state_cells(self, monkeypatch):
+        # one CPU: three blocks of 797 or 798 paths for all five policies, two
+        # policies a pass when a pass holds 2 x 798 states, and the values unchanged
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr("cdcfund.objective._PASS_CELLS", 2 * 2_393 + 1)
+        monkeypatch.setattr("cdcfund.objective._PASS_CELLS", 2 * 798 + 1)
         passes = []
 
         def simulating(cfg, policies, *args):
@@ -518,7 +505,7 @@ class TestEvaluatePolicies:
 
         monkeypatch.setattr("cdcfund.objective._simulate", simulating)
         values = evaluate_policies(self.POLICIES, self.BLOCKS_SPEC)
-        assert passes == [self.POLICIES[:2], self.POLICIES[2:4], self.POLICIES[4:]]
+        assert passes == [self.POLICIES[:2], self.POLICIES[2:4], self.POLICIES[4:]] * 3
         assert [repr(v) for v in values] == [repr(evaluate_policy(p, self.BLOCKS_SPEC))
                                              for p in self.POLICIES]
 
@@ -534,6 +521,26 @@ class TestEvaluatePolicies:
             assert type(value.solvency_margin) is float
             assert [type(x) for x in (value.ce, value.eu, value.eu_stderr)] == [float] * 3
             assert type(value.any_bankruptcy) is bool and type(value.n_bankrupt) is int
+
+    def test_several_policies_hold_one_small_block_at_a_time(self, monkeypatch):
+        # one CPU: five 1,000-path blocks scored one after another in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = FundConfig(horizon=30)
+        spec = ObjectiveSpec(cfg=cfg, mkt=M1, n_paths=5_000, seed=4)
+        evaluate_policies(self.LATTICE, spec)  # first-call work outside the trace
+        tracemalloc.start()
+        try:
+            evaluate_policies(self.LATTICE, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # twice a 1,000-path block's draws (2.9 MB) plus its pass state: the
+        # ring of running sums, 16 more (K, n_paths) arrays and the year totals
+        # (1.6 MB), 7.4 MB in all; one 5,000-path block holds 14.4 MB of draws
+        block = 1_000
+        draws = block * cfg.n_steps * 8
+        state = ((cfg.n_generations + 1 + 16) * len(self.LATTICE) + cfg.horizon) * block * 8
+        assert peak < 2 * draws + state
 
     def test_several_policies_never_draw_the_whole_matrix(self, monkeypatch):
         # on one CPU the one block is drawn and scored in this process
@@ -567,9 +574,12 @@ class TestEvaluatePolicies:
         values = evaluate_policies(self.LATTICE, fresh)
         assert [repr(v) for v in values] == [repr(v) for v in serial]  # NaN-aware
         [blocks] = results
-        if n_paths == 2_393 and len(blocks) == 2:
-            # the second policy's block results: utilities from the first, none from the second
-            assert [block[1][0] is None for block in blocks] == [False, True]
+        if n_paths == 2_393:
+            # the second policy has no utilities from the block of its bankrupt paths alone
+            bounds = [n_paths * k // len(blocks) for k in range(len(blocks) + 1)]
+            assert [block[1][0] is None for block in blocks] == [
+                any(lo <= p < hi for p in (1_300, 1_424)) for lo, hi in zip(bounds, bounds[1:])
+            ]
         assert multiprocessing.active_children() == []
 
     def test_block_error_is_raised_here(self, monkeypatch):
@@ -587,11 +597,64 @@ class TestEnginePasses:
     """A lattice task's engine passes, several policies stepped through each
     year on one ``(K, n_paths)`` state, against one policy at a time."""
 
+    # a 15-policy pass on the first 1,000 paths of seed 0: 9 rows solvent, 6 bankrupt
+    PASS = [PolicyParams(pi, theta) for pi in (0.0, 0.75, 1.5, 2.25, 3.0)
+            for theta in (0.0, 0.5, 1.0)]
+
     # on the first 16 paths of seed 0 each goes bankrupt mid-horizon at
     # yearly, monthly and weekly steps; the solvent one stays solvent
     BANKRUPT = {"M1": PolicyParams(3.0, 0.0), "M2": PolicyParams(1.5, 0.0),
                 "M3": PolicyParams(0.5, 0.0)}
     SOLVENT = PolicyParams(0.865, 0.345)
+
+    @staticmethod
+    def run_pass(policies, caller_bufsize, fail_at=None):
+        """The engine's bankrupt years, margins and benefits for ``policies``
+        on the first 1,000 paths of seed 0, run with the caller's ufunc buffer
+        at ``caller_bufsize``, with the buffer sizes that ``pay`` saw and the
+        caller's size after the pass; ``pay`` raises at year ``fail_at``."""
+        cfg = FundConfig()
+        normals = _normal_rows(0, 0, 1_000, cfg.n_steps)
+        paid, seen = [], set()
+
+        def pay(t, benefit, live):
+            seen.add(np.getbufsize())
+            if t == fail_at:
+                raise RuntimeError("pay failed")
+            paid.append(benefit.copy())
+
+        previous = np.setbufsize(caller_bufsize)
+        try:
+            try:
+                bankrupt_at, margins, _ = _simulate(cfg, policies, M1, normals, None, pay)
+            except RuntimeError:
+                return None, seen, np.getbufsize()
+            return (bankrupt_at, margins, np.array(paid)), seen, np.getbufsize()
+        finally:
+            np.setbufsize(previous)
+
+    def test_a_pass_of_several_policies_runs_under_its_own_buffer(self):
+        default = 8_192  # numpy's
+        (bankrupt_at, margins, paid), seen, after = self.run_pass(self.PASS, default)
+        assert seen == {fund._PASS_BUFSIZE} and after == default
+        assert 0 < np.isnan(bankrupt_at).all(axis=1).sum() < len(self.PASS)
+        # the same bits under the engine's buffer as the caller's
+        again, seen, after = self.run_pass(self.PASS, fund._PASS_BUFSIZE)
+        assert seen == {fund._PASS_BUFSIZE} and after == fund._PASS_BUFSIZE
+        assert bankrupt_at.tobytes() == again[0].tobytes() and repr(margins) == repr(again[1])
+        assert paid.tobytes() == again[2].tobytes()
+        # and those of one policy at a time under numpy's default buffer,
+        # which a one-policy pass leaves alone
+        for k, policy in enumerate(self.PASS):
+            (row, [margin], row_paid), seen, after = self.run_pass([policy], default)
+            assert seen == {default} and after == default
+            assert row.tobytes() == bankrupt_at[k : k + 1].tobytes()
+            assert repr(margin) == repr(margins[k])
+            assert row_paid.tobytes() == paid[:, k : k + 1].tobytes()
+        # the caller's buffer is back after a pass whose pay raises
+        caller = 4_096
+        assert self.run_pass(self.PASS, caller, fail_at=5) == (None, {fund._PASS_BUFSIZE}, caller)
+        assert self.run_pass(self.PASS[:1], caller, fail_at=5) == (None, {caller}, caller)
 
     @given(
         policies=st.lists(

@@ -15,10 +15,12 @@ and so on), which pins the recordings away from monthly steps, a 3 x 3
 must equal those of ``grid``, once more in market M3 as ``grid-m3``,
 where the bankruptcy boundary crosses the lattice, and once more at 2,393
 paths as ``grid-2393`` and ``grid-2393-one-cpu``, whose digests must be
-equal although the paths are split into uneven blocks, two on 2 CPUs and
-one on one CPU, and once more with ``--resolution 6`` as ``grid-6-fast``,
+equal although the paths are split into uneven blocks, four on 2 CPUs and
+three on one CPU, once more with ``--resolution 6`` as ``grid-6-fast``,
 whose 36 policies on 1,000-path blocks step through the engine in the
-largest passes), ``optimize --fast``,
+largest passes, and once more with ``--resolution 6`` at the default 10,000
+paths as ``grid-6-10k`` and ``grid-6-10k-one-cpu``, the benchmark's lattice,
+whose digests must be equal), ``optimize --fast``,
 and ``run-cell --fast`` at seeds 1 and 2 (seed 1 once more pinned to one CPU
 as ``run-cell-one-cpu``, which draws its matrices on one thread and whose
 digests must equal those of ``run-cell-seed1``), each in a fresh interpreter
@@ -65,6 +67,8 @@ RUNS = {
     "grid-2393": ["grid", "--config", "n2393.json", "--seed", "1", "--resolution", "3"],
     "grid-2393-one-cpu": ["grid", "--config", "n2393.json", "--seed", "1", "--resolution", "3"],
     "grid-6-fast": ["grid", "--seed", "1", "--fast", "--resolution", "6"],
+    "grid-6-10k": ["grid", "--seed", "1", "--resolution", "6"],
+    "grid-6-10k-one-cpu": ["grid", "--seed", "1", "--resolution", "6"],
     "simulate-solvent": ["simulate", "--seed", "1", *SOLVENT, "--paths", "10"],
     "simulate-bankrupt": ["simulate", "--seed", "1", *BANKRUPT, "--paths", "10"],
     "analyze": ["analyze", "--seed", "1", "--fast", *SOLVENT],
@@ -82,7 +86,8 @@ RUNS = {
     "run-cell-one-cpu": ["run-cell", "--seed", "1", "--fast"],
 }
 # runs confined to the lowest CPU of this process's affinity mask
-ONE_CPU = {"evaluate-one-cpu", "grid-one-cpu", "grid-2393-one-cpu", "run-cell-one-cpu"}
+ONE_CPU = {"evaluate-one-cpu", "grid-one-cpu", "grid-2393-one-cpu", "grid-6-10k-one-cpu",
+           "run-cell-one-cpu"}
 
 
 def _sha256(data: bytes) -> str:
