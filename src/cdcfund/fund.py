@@ -192,10 +192,10 @@ def _store_year(record: np.ndarray, year: np.ndarray, first: int, dead) -> None:
     record[:, first : first + len(year)] = year.T
 
 
-def _solvency_margin(bankrupt_at: np.ndarray, min_ratio: float) -> float:
-    """Minus the bankrupt fraction if any path is bankrupt, else ``min_ratio``."""
-    n_dead = int(np.count_nonzero(~np.isnan(bankrupt_at)))
-    return -n_dead / len(bankrupt_at) if n_dead else float(min_ratio)
+def _solvency_margin(n_bankrupt: int, n_paths: int, min_ratio: float) -> float:
+    """Minus the bankrupt fraction of ``n_paths`` paths if ``n_bankrupt`` is
+    not 0, else ``min_ratio``."""
+    return -n_bankrupt / n_paths if n_bankrupt else float(min_ratio)
 
 
 def _check_window(generations, cfg: FundConfig, role: str) -> None:
@@ -535,6 +535,7 @@ def _simulate(
     finally:
         np.setbufsize(caller_bufsize)  # also when pay raises
 
-    margins = [_solvency_margin(row, row_min) for row, row_min in zip(bankrupt_at, min_ratio)]
+    margins = [_solvency_margin(int(np.count_nonzero(~np.isnan(row))), n_paths, row_min)
+               for row, row_min in zip(bankrupt_at, min_ratio)]
     return bankrupt_at, margins, dict(mean_funding_ratio=mean_ratio, assets=asset_rec,
                                       liabilities=liab_rec, account_trajectories=trajectories)

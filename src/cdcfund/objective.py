@@ -145,10 +145,10 @@ def _block_scores(cfg: FundConfig, policies, mkt: MarketParams, normals: np.ndar
     """The one scorer of :func:`evaluate_policy` and :func:`evaluate_policies`:
     what a block of paths sends back for each of ``policies``, scored in one
     pass of the engine on a ``(K, n_paths)`` state: its paths' discounted
-    utilities (None if one is bankrupt), bankrupt years and solvency margin.
-    A policy's utilities are summed in the year loop while it has no
-    bankrupt path, year by year as :func:`_path_utilities` sums a batch's
-    payments, so they have the same bits, and no payments are held."""
+    utilities (None if one is bankrupt), its bankrupt-path count and its
+    solvency margin. A policy's utilities are summed in the year loop while
+    it has no bankrupt path, year by year as :func:`_path_utilities` sums a
+    batch's payments, so they have the same bits, and no payments are held."""
     discounts = cfg.beta ** np.arange(1, cfg.horizon + 1)
     per_path = np.zeros((len(policies), len(normals)))
 
@@ -159,18 +159,20 @@ def _block_scores(cfg: FundConfig, policies, mkt: MarketParams, normals: np.ndar
             per_path[live] += crra_utility(benefit[live], cfg.gamma) * discounts[t - 1]
 
     bankrupt_at, margins, _ = _simulate(cfg, policies, mkt, normals, year_totals, add)
-    return [(utilities if np.isnan(row).all() else None, row, margin)
-            for utilities, row, margin in zip(per_path, bankrupt_at, margins)]
+    counts = [int(np.count_nonzero(~np.isnan(row))) for row in bankrupt_at]
+    # a solvent row is copied, so it does not hold the pass's other rows
+    return [(None if dead else utilities.copy(), dead, margin)
+            for utilities, dead, margin in zip(per_path, counts, margins)]
 
 
-def _value(blocks, gamma: float) -> ObjectiveValue:
-    """The value of a batch from its blocks' :func:`_block_scores` in path
-    order: a fixed-order mean over the joined paths, so it repeats bit for
-    bit on the same draws, however they are split into blocks."""
-    per_path, bankrupt_at, margins = zip(*blocks)
-    bankrupt_at = np.concatenate(bankrupt_at)
-    n_bankrupt = int(np.count_nonzero(~np.isnan(bankrupt_at)))
-    margin = _solvency_margin(bankrupt_at, min(margins))
+def _value(blocks, n_paths: int, gamma: float) -> ObjectiveValue:
+    """The value of a batch of ``n_paths`` paths from its blocks'
+    :func:`_block_scores` in path order: a fixed-order mean over the joined
+    paths, so it repeats bit for bit on the same draws, however they are
+    split into blocks."""
+    per_path, n_bankrupt, margins = zip(*blocks)
+    n_bankrupt = sum(n_bankrupt)
+    margin = _solvency_margin(n_bankrupt, n_paths, min(margins))
     if n_bankrupt > 0:
         return ObjectiveValue(ce=0.0, eu=float("nan"), eu_stderr=float("nan"),
                               any_bankruptcy=True, n_bankrupt=n_bankrupt, solvency_margin=margin)
@@ -184,7 +186,8 @@ def _value(blocks, gamma: float) -> ObjectiveValue:
 def value_from_batch(batch: SimulationBatch, cfg: FundConfig) -> ObjectiveValue:
     """Score an already simulated batch under the config's preferences."""
     per_path = None if batch.any_bankruptcy else _path_utilities(batch.payments, cfg)
-    return _value([(per_path, batch.bankrupt_at, batch.solvency_margin)], cfg.gamma)
+    return _value([(per_path, batch.n_bankrupt, batch.solvency_margin)],
+                  len(batch.bankrupt_at), cfg.gamma)
 
 
 def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue:
@@ -192,7 +195,7 @@ def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue
     scorer, :func:`_block_scores`, on the spec's draws and year totals, which
     the first policy scored generates."""
     scored = _block_scores(spec.cfg, [policy], spec.mkt, spec.normals, spec.year_totals)
-    return _value(scored, spec.cfg.gamma)
+    return _value(scored, spec.n_paths, spec.cfg.gamma)
 
 
 # the most paths per block: a block's draws at monthly steps over 100 years
@@ -200,8 +203,14 @@ def evaluate_policy(policy: PolicyParams, spec: ObjectiveSpec) -> ObjectiveValue
 _EVAL_BLOCK = 1_000
 # the state cells, policies times paths, of one engine pass over a block:
 # fifteen policies at a time on 1,000 paths, whose ring of running sums
-# holds 4.9 MB beside the block's 9.6 MB of draws; twenty-four on 625
+# holds 4.9 MB beside the block's 9.6 MB of draws; thirty-six on 416, with
+# 4.0 MB of draws
 _PASS_CELLS = 15_000
+# a lattice's blocks are cut to fit all its policies in one pass only where
+# that pass covers at least this many paths: on shorter rows each element of
+# the engine's (1, n) draws times (K, 1) columns costs more, even under
+# fund._PASS_BUFSIZE (BENCH_lattice_pass_blocks.json)
+_PASS_FLOOR = 300
 
 _worker_fn = None  # a pool worker's function, set once at its start
 
@@ -250,21 +259,29 @@ def evaluate_policies(policies, spec: ObjectiveSpec) -> list[ObjectiveValue]:
     blocks are as few as keep each at most ``_EVAL_BLOCK`` paths while their
     count is a multiple of the usable CPUs, and never more than the paths: on
     2 CPUs 10,000 paths make ten 1,000-path blocks, on 8 CPUs sixteen of 625.
+    ``K`` policies that fit one pass of ``_PASS_CELLS`` states on at least
+    ``_PASS_FLOOR`` paths keep each block at most ``_PASS_CELLS // K`` paths
+    instead, so each block takes one pass: on 2 CPUs the 36 policies of a
+    6 x 6 lattice run 26 blocks of 384 or 385 paths, while 400 policies keep
+    1,000-path blocks.
     A block is one task, for every policy. It sums its year totals once if
     there are several policies and steps them through the engine a pass at a
     time, each pass as many policies as fit ``_PASS_CELLS`` states on the
     block's paths (fifteen on 1,000 paths), on one ``(K, n_paths)`` state.
     It returns each policy's per-path discounted utilities, summed in the
-    year loop (None if a path is bankrupt), bankrupt years and margin, not
-    its payments; each policy's are joined in path order. A path's utility
-    has the same bits in any block and any pass, so the values are the same
-    on any number of CPUs. A worker's exception is re-raised here.
+    year loop (None if a path is bankrupt), bankrupt-path count and margin,
+    not its payments or bankrupt years; each policy's are joined in path
+    order. A path's utility has the same bits in any block and any pass, so
+    the values are the same on any number of CPUs. A worker's exception is
+    re-raised here.
     """
     policies = list(policies)
     if not policies:
         return []
     cfg, n_paths, cpus = spec.cfg, spec.n_paths, _usable_cpus()
-    n_blocks = min(n_paths, cpus * -(-n_paths // (cpus * _EVAL_BLOCK)))
+    one_pass = _PASS_CELLS // len(policies)
+    most = min(one_pass, _EVAL_BLOCK) if one_pass >= _PASS_FLOOR else _EVAL_BLOCK
+    n_blocks = min(n_paths, cpus * -(-n_paths // (cpus * most)))
     bounds = [n_paths * k // n_blocks for k in range(n_blocks + 1)]
 
     def score_block(lo: int, hi: int) -> list[tuple]:
@@ -276,4 +293,4 @@ def evaluate_policies(policies, spec: ObjectiveSpec) -> list[ObjectiveValue]:
                 _block_scores(cfg, policies[k : k + per_pass], spec.mkt, normals, totals)]
 
     per_block = _fork_map(lambda block: score_block(*block), zip(bounds, bounds[1:]))
-    return [_value(scored, cfg.gamma) for scored in zip(*per_block)]
+    return [_value(scored, n_paths, cfg.gamma) for scored in zip(*per_block)]

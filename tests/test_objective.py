@@ -433,11 +433,16 @@ class TestEvaluatePolicies:
         assert len(blocks) == len(blocks_bankrupt)
         bounds = [0, 598, 1_196, 1_794, 2_393]
         for block, bankrupt, size in zip(blocks, blocks_bankrupt, np.diff(bounds)):
-            [(per_path, bankrupt_at, margin)] = block  # one policy's result
+            [(per_path, n_bankrupt, margin)] = block  # one policy's result
+            # the only array is a solvent block's utilities, which own their data
             assert (per_path is None) is bankrupt
-            arrays = [bankrupt_at] if bankrupt else [per_path, bankrupt_at]
-            assert all(a.ndim == 1 and len(a) == size for a in arrays)
-            assert isinstance(margin, float) and (margin < 0.0) is bankrupt
+            if not bankrupt:
+                assert per_path.shape == (size,) and per_path.base is None
+            assert type(n_bankrupt) is int and (n_bankrupt > 0) is bankrupt
+            assert type(margin) is float and (margin < 0.0) is bankrupt
+            if bankrupt:
+                assert margin == -n_bankrupt / size
+        assert value.n_bankrupt == sum(n_bankrupt for [(_, n_bankrupt, _)] in blocks)
         # NaN-aware, n_bankrupt and margin included
         assert repr(value) == repr(evaluate_policy(policy, spec))
 
@@ -492,22 +497,67 @@ class TestEvaluatePolicies:
         monkeypatch.undo()
         assert [repr(v) for v in values] == [repr(evaluate_policy(p, spec)) for p in policies]
 
-    def test_passes_split_the_policies_by_state_cells(self, monkeypatch):
-        # one CPU: three blocks of 797 or 798 paths for all five policies, two
-        # policies a pass when a pass holds 2 x 798 states, and the values unchanged
+    @pytest.mark.parametrize("floor, sizes, passes", [
+        # a pass holds 2 x 798 + 1 states, so the five policies fit one pass
+        # on 1,597 // 5 = 319 paths: at a floor of 319 the 2,393 paths make
+        # eight blocks of 299 or 300, each stepped in one pass
+        (319, [299, 299, 299, 299, 299, 299, 299, 300], [slice(0, 5)]),
+        # above it they keep three blocks of 797 or 798 paths, two policies a pass
+        (320, [797, 798, 798], [slice(0, 2), slice(2, 4), slice(4, 5)]),
+    ], ids=["one-pass-blocks", "under-the-floor"])
+    def test_passes_split_the_policies_by_state_cells(self, monkeypatch, floor, sizes, passes):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr("cdcfund.objective._PASS_CELLS", 2 * 798 + 1)
-        passes = []
+        monkeypatch.setattr("cdcfund.objective._PASS_FLOOR", floor)
+        seen = []
 
-        def simulating(cfg, policies, *args):
-            passes.append(list(policies))
-            return _simulate(cfg, policies, *args)
+        def simulating(cfg, policies, mkt, normals, *args):
+            seen.append((len(normals), list(policies)))
+            return _simulate(cfg, policies, mkt, normals, *args)
 
         monkeypatch.setattr("cdcfund.objective._simulate", simulating)
         values = evaluate_policies(self.POLICIES, self.BLOCKS_SPEC)
-        assert passes == [self.POLICIES[:2], self.POLICIES[2:4], self.POLICIES[4:]] * 3
+        assert seen == [(size, self.POLICIES[part]) for size in sizes for part in passes]
         assert [repr(v) for v in values] == [repr(evaluate_policy(p, self.BLOCKS_SPEC))
                                              for p in self.POLICIES]
+
+    @pytest.mark.parametrize("n_policies, cpus, n_paths, n_blocks, per_pass", [
+        # `grid --resolution 6` at 10k paths: 15,000 // 36 = 416 paths a pass,
+        # so 26 blocks of 384 or 385 paths on 2 CPUs and 32 of 312 or 313 on 8
+        (36, 2, 10_000, 26, 36),
+        (36, 8, 10_000, 32, 36),
+        # `grid --fast`: 15,000 // 400 = 37 paths are under the floor, so two
+        # 1,000-path blocks, each in 27 passes of 15 policies (10 in the last)
+        (400, 2, 2_000, 2, 15),
+    ], ids=["grid-6-10k", "grid-6-10k-8-cpus", "grid-fast"])
+    def test_lattices_fit_one_pass_per_block_above_the_floor(
+        self, monkeypatch, n_policies, cpus, n_paths, n_blocks, per_pass
+    ):
+        # the stub pool maps the tasks in this process, where each pass is seen;
+        # the passes run no engine, as only the blocks and their passes are checked
+        asked = self.stub_pool(monkeypatch, set(range(cpus)))
+        drawn, seen = [], []
+
+        def drawing(seed, lo, hi, n_steps):
+            drawn.append((lo, hi))
+            return np.zeros((hi - lo, n_steps))
+
+        def simulating(cfg, policies, mkt, normals, year_totals, pay):
+            seen.append((len(normals), len(policies)))
+            return np.zeros((len(policies), len(normals))), [1.0] * len(policies), {}
+
+        monkeypatch.setattr("cdcfund.objective._normal_rows", drawing)
+        monkeypatch.setattr("cdcfund.objective._simulate", simulating)
+        lattice = [PolicyParams(pi, 0.5) for pi in np.linspace(0.0, 3.0, n_policies)]
+        spec = ObjectiveSpec(cfg=FundConfig(horizon=30), mkt=M1, n_paths=n_paths, seed=1)
+        values = evaluate_policies(lattice, spec)
+        # each block is drawn once and stepped in passes of per_pass policies
+        bounds = [n_paths * k // n_blocks for k in range(n_blocks + 1)]
+        assert drawn == list(zip(bounds, bounds[1:]))
+        assert seen == [(hi - lo, min(per_pass, n_policies - k))
+                        for lo, hi in zip(bounds, bounds[1:])
+                        for k in range(0, n_policies, per_pass)]
+        assert asked == [cpus] and len(values) == n_policies
 
     @pytest.mark.parametrize("cpus", [None, {0}], ids=["all-cpus", "one-cpu"])
     def test_values_hold_python_scalars(self, monkeypatch, cpus):
@@ -541,6 +591,31 @@ class TestEvaluatePolicies:
         draws = block * cfg.n_steps * 8
         state = ((cfg.n_generations + 1 + 16) * len(self.LATTICE) + cfg.horizon) * block * 8
         assert peak < 2 * draws + state
+
+    def test_a_lattice_holds_one_one_pass_block_at_a_time(self, monkeypatch):
+        # one CPU: a 6 x 6 lattice fits one pass on 15,000 // 36 = 416 paths, so
+        # 2,000 paths make five 400-path blocks scored one after another here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = FundConfig(horizon=30)
+        spec = ObjectiveSpec(cfg=cfg, mkt=M1, n_paths=2_000, seed=4)
+        lattice = [PolicyParams(pi, theta) for pi in np.linspace(0.0, 3.0, 6)
+                   for theta in np.linspace(0.0, 1.0, 6)]
+        values = evaluate_policies(lattice, spec)  # first-call work outside the trace
+        assert {v.any_bankruptcy for v in values} == {False, True}
+        tracemalloc.start()
+        try:
+            evaluate_policies(lattice, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 400-path block's draws (1.2 MB) plus its pass state: the ring of
+        # running sums, 17 more (K, n_paths) arrays and the year totals (6.8 MB
+        # in all), plus the lattice's per-path utilities (0.6 MB): 8.5 MB; two
+        # 1,000-path blocks in passes of 15 policies peak at 10.8 MB
+        block = 400
+        draws = block * cfg.n_steps * 8
+        state = ((cfg.n_generations + 1 + 17) * len(lattice) + cfg.horizon) * block * 8
+        assert peak < draws + state + len(lattice) * spec.n_paths * 8
 
     def test_several_policies_never_draw_the_whole_matrix(self, monkeypatch):
         # on one CPU the one block is drawn and scored in this process
@@ -690,10 +765,11 @@ class TestEnginePasses:
                     cfg, group[k : k + per_pass], mkt, normals, year_totals
                 )
             ]
-        assert [repr(objective._value([result], cfg.gamma)) for result in scored] == [
+        assert [repr(objective._value([result], n_paths, cfg.gamma)) for result in scored] == [
             repr(value) for value in serial
         ]
         # one row of a pass went bankrupt mid-horizon while the last stayed solvent
-        bankrupt_at = scored[at][1]
+        bankrupt_at, _, _ = _simulate(cfg, [group[at]], mkt, normals, None, lambda *args: None)
         assert scored[at][0] is None and 1 < np.nanmin(bankrupt_at) < cfg.horizon
+        assert scored[at][1] == np.count_nonzero(~np.isnan(bankrupt_at)) > 0
         assert scored[-1][0] is not None and not serial[-1].any_bankruptcy

@@ -18,9 +18,11 @@ paths as ``grid-2393`` and ``grid-2393-one-cpu``, whose digests must be
 equal although the paths are split into uneven blocks, four on 2 CPUs and
 three on one CPU, once more with ``--resolution 6`` as ``grid-6-fast``,
 whose 36 policies on 1,000-path blocks step through the engine in the
-largest passes, and once more with ``--resolution 6`` at the default 10,000
+largest passes, once more with ``--resolution 6`` at the default 10,000
 paths as ``grid-6-10k`` and ``grid-6-10k-one-cpu``, the benchmark's lattice,
-whose digests must be equal), ``optimize --fast``,
+whose digests must be equal, and once more at the default ``--resolution``
+20 as ``grid-20-fast``, whose 400 policies step through each 1,000-path
+block in several passes), ``optimize --fast``,
 and ``run-cell --fast`` at seeds 1 and 2 (seed 1 once more pinned to one CPU
 as ``run-cell-one-cpu``, which draws its matrices on one thread and whose
 digests must equal those of ``run-cell-seed1``), each in a fresh interpreter
@@ -31,7 +33,8 @@ stdout, an ``invalid-json  run/file`` line after it for a stdout or
 ``.json`` file that is not strict JSON (RFC 8259 has no ``NaN`` or
 ``Infinity``), and a ``stderr  run`` line for a run that wrote to stderr,
 such as a warning. The stderr itself is not hashed: warning text holds the
-checkout's path.
+checkout's path. The runs print 103 lines, none of them ``invalid-json`` or
+``stderr``.
 ``manifest.json`` is hashed with its per-stage wall times removed, the only
 bytes that differ between identical runs. Comparing two checkouts is a
 ``diff`` of their outputs::
@@ -69,6 +72,7 @@ RUNS = {
     "grid-6-fast": ["grid", "--seed", "1", "--fast", "--resolution", "6"],
     "grid-6-10k": ["grid", "--seed", "1", "--resolution", "6"],
     "grid-6-10k-one-cpu": ["grid", "--seed", "1", "--resolution", "6"],
+    "grid-20-fast": ["grid", "--seed", "1", "--fast"],
     "simulate-solvent": ["simulate", "--seed", "1", *SOLVENT, "--paths", "10"],
     "simulate-bankrupt": ["simulate", "--seed", "1", *BANKRUPT, "--paths", "10"],
     "analyze": ["analyze", "--seed", "1", "--fast", *SOLVENT],
